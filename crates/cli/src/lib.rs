@@ -53,10 +53,9 @@ use eacp_core::analysis::{
 use eacp_core::policies::PolicyKind;
 use eacp_energy::DvsConfig;
 use eacp_exec::{
-    coverage_dir, executive_coverage_dir, merge_dir, merge_executive_dir, render_executive_csv,
-    run_executive_point, run_executive_sweep, run_sweep, run_sweep_queued_tiered, run_sweep_tiered,
-    ExecutiveGridReport, ExecutiveJob, ExecutivePointReport, GridReport, Job, LocalRunner,
-    PaperRef, QueueObserver, QueueRunner, QueueStatus, Runner, ShardId, Summary,
+    coverage_dir, merge_dir, render_executive_csv, run_sweep_queued_tiered, run_sweep_tiered,
+    runner_for, ExecutiveJob, GridReport, Job, LocalRunner, PaperRef, QueueObserver, QueueRunner,
+    QueueStatus, Runner, ShardId, Summary, SweepGrid, SweepPoint,
 };
 use eacp_rtsched::feasibility::{
     edf_density, k_fault_wcet, minimum_feasible_speed, rm_response_times,
@@ -66,15 +65,15 @@ use eacp_sim::{Executor, Policy, TraceRecorder};
 use eacp_spec::{
     executive_preset, executive_preset_names, preset, preset_names, CostsSpec, ExecSpec,
     ExecutiveMcSpec, ExecutiveSpec, ExecutiveSweepSpec, ExperimentSpec, FaultSpec, FromJson, Json,
-    McSpec, PeriodicTaskSpec, PolicyAssignment, PolicySpec, RunReport, ScenarioSpec, SweepAxis,
-    SweepSpec, TaskSetSpec, ToJson, WorkSpec,
+    McSpec, PeriodicTaskSpec, PolicyAssignment, PolicySpec, QueueSpec, RunReport, ScenarioSpec,
+    SpecError, SweepAxis, SweepSpec, TaskSetSpec, ToJson, WorkSpec,
 };
 use eacp_store::{
-    executive_store_coverage, run_cached, run_cached_single, run_cached_tiered,
-    run_executive_cached, run_executive_sweep_cached, run_sweep_cached_tiered, store_coverage,
-    verify_store, CacheMode, CacheOutcome, FsBackend, MemBackend, NoopStoreObserver,
-    RetentionPolicy, StoreBackend, StoreCounters, STORE_ENV_VAR,
+    run_cached_single, run_cached_tiered, run_sweep_cached_tiered, store_coverage, verify_store,
+    CacheMode, CacheOutcome, FsBackend, MemBackend, NoopStoreObserver, RetentionPolicy,
+    StoreBackend, StoreCounters, StoreCoverage, StorePoint, STORE_ENV_VAR,
 };
+use std::path::Path;
 
 /// Usage text for `--help`.
 pub const USAGE: &str = "\
@@ -445,29 +444,12 @@ fn parse_num(s: &str, name: &str) -> Result<f64, String> {
     s.parse::<f64>().map_err(|e| format!("bad {name}: {e}"))
 }
 
-/// Builds the point runner `--queue` asks for: an in-process worker pool,
-/// or — with `--endpoints` — the remote fleet (leased blocks ship to
-/// `eacp serve` processes, wedged leases are reclaimed on a deadline, and
-/// the final attempt falls back in-process). Bit-identical either way.
-fn queue_runner_of(o: &Options) -> Result<Box<dyn Runner>, String> {
-    let q = queue_spec_of(o);
-    q.validate().map_err(|e| e.to_string())?;
-    let runner = QueueRunner::new(q.workers).with_max_attempts(q.max_attempts);
-    if q.endpoints.is_empty() {
-        return Ok(Box::new(runner));
-    }
-    let worker = eacp_exec::RemoteWorker::from_queue_spec(&q);
-    let lease_timeout = worker.lease_timeout();
-    Ok(Box::new(
-        runner.with_worker(worker).with_lease_timeout(lease_timeout),
-    ))
-}
-
 /// Desugars the `--queue [--workers N] [--endpoints ... [--timeout-ms T]]`
-/// flags into the spec's queue section, so `--emit-spec` reproduces the
-/// scheduling (and fleet) choice exactly.
-fn queue_spec_of(o: &Options) -> eacp_spec::QueueSpec {
-    eacp_spec::QueueSpec {
+/// flags into a queue section — recorded in emitted specs so
+/// `--emit-spec` reproduces the scheduling (and fleet) choice exactly,
+/// and turned into a runner by [`runner_for`].
+fn queue_spec_of(o: &Options) -> QueueSpec {
+    QueueSpec {
         workers: o.workers,
         endpoints: o
             .endpoints
@@ -533,6 +515,24 @@ fn cache_mode(o: &Options) -> CacheMode {
     } else {
         CacheMode::ReadWrite
     }
+}
+
+/// Runs one Monte-Carlo point (`mc`, `executive --mc`) on the runner its
+/// spec asks for — through the result store when one is configured —
+/// returning the exact aggregate, the report and the one-line cache note.
+fn run_point<P: StorePoint>(o: &Options, spec: &P) -> Result<(P::Acc, P::Report, String), String> {
+    let analytic = !o.no_analytic;
+    let Some(backend) = resolve_store(o)? else {
+        let runner = spec.runner().map_err(|e| e.to_string())?;
+        let (acc, report) = spec
+            .compute(runner.as_ref(), analytic)
+            .map_err(|e| e.to_string())?;
+        return Ok((acc, report, String::new()));
+    };
+    let mut run = run_cached_tiered(spec, &backend, cache_mode(o), &NoopStoreObserver, analytic)
+        .map_err(|e| e.to_string())?;
+    let note = store_note(run.cache, P::report_source(&mut run.report).as_deref());
+    Ok((run.summary, run.report, note))
 }
 
 /// One-line cache telemetry appended to `run`/`mc` text output.
@@ -829,22 +829,7 @@ pub fn cmd_mc(o: &Options) -> Result<String, String> {
     if o.emit_spec {
         return Ok(spec.to_json_string());
     }
-    let mut note = String::new();
-    let (summary, report) = match resolve_store(o)? {
-        Some(backend) => {
-            let run = run_cached_tiered(
-                &spec,
-                &backend,
-                cache_mode(o),
-                &NoopStoreObserver,
-                !o.no_analytic,
-            )
-            .map_err(|e| e.to_string())?;
-            note = store_note(run.cache, run.report.source.as_deref());
-            (run.summary, run.report)
-        }
-        None => eacp_exec::run_tiered(&spec, !o.no_analytic).map_err(|e| e.to_string())?,
-    };
+    let (summary, report, mut note) = run_point(o, &spec)?;
     if report.served == eacp_spec::ServeTier::Analytic {
         note.insert_str(0, "served: analytic (replication-invariant cell)\n");
     }
@@ -876,66 +861,253 @@ pub fn cmd_mc(o: &Options) -> Result<String, String> {
 
 /// `eacp sweep`: expand a sweep document and run every grid point.
 pub fn cmd_sweep(o: &Options) -> Result<String, String> {
-    if o.spec.is_empty() {
-        return Err("sweep: --spec sweep.json is required".to_owned());
-    }
-    // Only base-level Monte-Carlo knobs make sense as overrides on a
-    // whole grid; reject experiment-shaping flags instead of silently
-    // dropping them (the grid's axes own those).
-    for flag in [
+    cmd_grid::<SweepSpec>(o)
+}
+
+/// The per-kind half of the sweep driver shared by `eacp sweep` and
+/// `eacp executive --sweep`: where the grid document comes from, which
+/// flags override it, and how its points render. Everything else —
+/// sharding, `--emit-spec`, store, queue and output — is [`cmd_grid`].
+trait SweepCommand: SweepGrid<Point: StorePoint> {
+    /// The command as named in error messages.
+    const COMMAND: &'static str;
+    /// Experiment-shaping flags: the grid's axes own those, so passing
+    /// one is an error rather than a silently dropped override.
+    const SHAPE_FLAGS: &'static [&'static str];
+    /// Whether plain `--queue` leases whole grid points to the pool (with
+    /// a `queued:` note); otherwise each point's replication blocks are
+    /// queued. Results are bit-identical either way.
+    const QUEUE_POINTS: bool;
+
+    /// The grid document path, rejecting options that conflict with it.
+    fn document(o: &Options) -> Result<&str, String>;
+    /// Loads a grid document.
+    fn load_grid(path: &Path) -> Result<Self, SpecError>;
+    /// Applies the base-level Monte-Carlo overrides (`--reps`, `--seed`,
+    /// `--threads`).
+    fn override_mc(&mut self, o: &Options);
+    /// Worker threads of the default local runner.
+    fn threads(&self) -> usize;
+    /// Records the queue choice in an emitted point spec.
+    fn set_queue(point: &mut Self::Point, queue: QueueSpec);
+    /// The text table; `detail` annotates the header line.
+    fn table(grid: &GridReport<Self>, detail: &str) -> String;
+    /// Report rows (grid points, then standalone reports) as CSV.
+    fn csv(rows: &[ReportRow<Self>]) -> String;
+}
+
+/// The report type of a grid kind's points.
+type ReportOf<G> = <<G as SweepGrid>::Point as SweepPoint>::Report;
+
+/// A CSV row: a report, with its grid index when it came from a grid.
+type ReportRow<G> = (Option<usize>, ReportOf<G>);
+
+impl SweepCommand for SweepSpec {
+    const COMMAND: &'static str = "sweep";
+    const SHAPE_FLAGS: &'static [&'static str] = &[
         "--scheme",
         "--util",
         "--lambda",
         "--k",
         "--deadline",
         "--variant",
-    ] {
+    ];
+    const QUEUE_POINTS: bool = true;
+
+    fn document(o: &Options) -> Result<&str, String> {
+        if o.spec.is_empty() {
+            return Err("sweep: --spec sweep.json is required".to_owned());
+        }
+        Ok(&o.spec)
+    }
+
+    fn load_grid(path: &Path) -> Result<Self, SpecError> {
+        Self::load(path)
+    }
+
+    fn override_mc(&mut self, o: &Options) {
+        if o.has("--reps") {
+            self.base.mc.replications = o.reps;
+        }
+        if o.has("--seed") {
+            self.base.mc.seed = o.seed;
+        }
+        if o.has("--threads") {
+            self.base.mc.threads = o.threads;
+        }
+    }
+
+    fn threads(&self) -> usize {
+        self.base.mc.threads
+    }
+
+    fn set_queue(point: &mut ExperimentSpec, queue: QueueSpec) {
+        point.executor.queue = Some(queue);
+    }
+
+    fn table(grid: &GridReport<Self>, detail: &str) -> String {
+        let mut out = format!(
+            "sweep over {} points ({} replications each{detail})\n\n{:<44} {:>8} {:>12} {:>10}\n",
+            grid.total_points,
+            grid.sweep.base.mc.replications,
+            "experiment",
+            "P",
+            "E(timely)",
+            "faults"
+        );
+        for p in &grid.points {
+            let r = &p.report;
+            out.push_str(&format!(
+                "{:<44} {:>8.4} {:>12.0} {:>10.2}\n",
+                r.spec.name,
+                r.summary.p_timely,
+                r.summary.energy_timely.mean,
+                r.summary.faults.mean,
+            ));
+        }
+        out
+    }
+
+    fn csv(rows: &[(Option<usize>, RunReport)]) -> String {
+        eacp_exec::csv::render_rows(rows, &paper_ref_of)
+    }
+}
+
+impl SweepCommand for ExecutiveSweepSpec {
+    const COMMAND: &'static str = "executive --sweep";
+    const SHAPE_FLAGS: &'static [&'static str] = &[
+        "--scheme",
+        "--lambda",
+        "--k",
+        "--hyperperiods",
+        "--speed",
+        "--variant",
+    ];
+    const QUEUE_POINTS: bool = false;
+
+    fn document(o: &Options) -> Result<&str, String> {
+        if !o.spec.is_empty() || !o.preset.is_empty() || !o.tasks.is_empty() {
+            return Err(
+                "executive --sweep: the sweep document embeds its base spec — drop \
+                 --spec/--preset/--tasks"
+                    .to_owned(),
+            );
+        }
+        Ok(&o.sweep)
+    }
+
+    fn load_grid(path: &Path) -> Result<Self, SpecError> {
+        Self::load(path)
+    }
+
+    fn override_mc(&mut self, o: &Options) {
+        override_executive_mc(&mut self.base, o);
+        if o.has("--seed") {
+            self.base.seed = o.seed;
+        }
+    }
+
+    fn threads(&self) -> usize {
+        self.base.mc_or_default().threads
+    }
+
+    fn set_queue(point: &mut ExecutiveSpec, queue: QueueSpec) {
+        let mut mc = point.mc_or_default();
+        mc.queue = Some(queue);
+        point.mc = Some(mc);
+    }
+
+    fn table(grid: &GridReport<Self>, detail: &str) -> String {
+        let mut out = format!(
+            "executive sweep over {} points ({} seeded horizons each{detail})\n\n\
+             {:<44} {:>10} {:>12} {:>10}\n",
+            grid.total_points,
+            grid.sweep.base.mc_or_default().replications,
+            "experiment",
+            "miss",
+            "E(horizon)",
+            "faults"
+        );
+        for p in &grid.points {
+            let r = &p.report;
+            out.push_str(&format!(
+                "{:<44} {:>10.4} {:>12.0} {:>10.2}\n",
+                r.spec.name,
+                r.summary.mean_miss_ratio(),
+                r.summary.mean_energy(),
+                r.summary.horizon_faults.mean(),
+            ));
+        }
+        out
+    }
+
+    fn csv(rows: &[(Option<usize>, eacp_exec::ExecutiveMcReport)]) -> String {
+        render_executive_csv(rows)
+    }
+}
+
+/// Folds `--reps`/`--threads` into an executive spec's `mc` section,
+/// creating the section only when one of them is given.
+fn override_executive_mc(spec: &mut ExecutiveSpec, o: &Options) {
+    if o.has("--reps") || o.has("--threads") {
+        let mut mc = spec.mc_or_default();
+        if o.has("--reps") {
+            mc.replications = o.reps;
+        }
+        if o.has("--threads") {
+            mc.threads = o.threads;
+        }
+        spec.mc = Some(mc);
+    }
+}
+
+/// The sweep driver of both grid kinds: expand the grid document and run
+/// every point (or one `--shard i/n` of it) — served from a store,
+/// leased through a work queue or the remote fleet, or run locally — then
+/// write the document (`--out`), print the point reports (`--json`) or
+/// render the text table.
+fn cmd_grid<G: SweepCommand>(o: &Options) -> Result<String, String> {
+    let path = G::document(o)?;
+    for flag in G::SHAPE_FLAGS {
         if o.has(flag) {
             return Err(format!(
-                "sweep: {flag} cannot override a sweep document — edit the base spec or its axes"
+                "{}: {flag} cannot override a sweep document — edit the base spec or its axes",
+                G::COMMAND
             ));
         }
     }
-    let mut sweep = SweepSpec::load(std::path::Path::new(&o.spec)).map_err(|e| e.to_string())?;
-    if o.has("--reps") {
-        sweep.base.mc.replications = o.reps;
-    }
-    if o.has("--seed") {
-        sweep.base.mc.seed = o.seed;
-    }
-    if o.has("--threads") {
-        sweep.base.mc.threads = o.threads;
-    }
+    let mut sweep = G::load_grid(Path::new(path)).map_err(|e| e.to_string())?;
+    sweep.override_mc(o);
     let shard = if o.shard.is_empty() {
         None
     } else {
         Some(ShardId::parse(&o.shard).map_err(|e| e.to_string())?)
     };
+    let queue = o.queue.then(|| queue_spec_of(o));
     if o.emit_spec {
-        let mut specs = sweep.expand().map_err(|e| e.to_string())?;
-        if o.queue {
+        let mut specs = sweep.points().map_err(|e| e.to_string())?;
+        if let Some(q) = &queue {
             // Emitted point specs must reproduce the scheduling choice,
             // exactly as `mc --queue --emit-spec` records it.
             for spec in &mut specs {
-                spec.executor = spec.executor.clone().with_queue(queue_spec_of(o));
+                G::set_queue(spec, q.clone());
             }
         }
-        let range = shard.map_or(0..specs.len(), |s| s.range(specs.len()));
-        let docs: Vec<eacp_spec::Json> = specs[range].iter().map(ToJson::to_json).collect();
-        return Ok(eacp_spec::Json::Array(docs).pretty());
+        let range = ShardId::range_of(shard, specs.len());
+        let docs: Vec<Json> = specs[range].iter().map(ToJson::to_json).collect();
+        return Ok(Json::Array(docs).pretty());
     }
     let store = resolve_store(o)?;
+    let runner = runner_for(queue.as_ref(), sweep.threads()).map_err(|e| e.to_string())?;
+    let fleet = queue.as_ref().map_or(0, |q| q.endpoints.len());
+    let queue_points = G::QUEUE_POINTS && o.queue && fleet == 0;
     let progress = QueueProgress::default();
     let counters = StoreCounters::new();
+    let analytic = !o.no_analytic;
     let grid = if let Some(backend) = &store {
         // Store-backed sweep: covered cells are served, the rest are
         // scheduled on the chosen runner and recorded — this is what makes
         // an interrupted sweep resumable.
-        let runner: Box<dyn Runner> = if o.queue {
-            queue_runner_of(o)?
-        } else {
-            Box::new(LocalRunner::new(sweep.base.mc.threads))
-        };
         run_sweep_cached_tiered(
             &sweep,
             shard,
@@ -943,34 +1115,21 @@ pub fn cmd_sweep(o: &Options) -> Result<String, String> {
             backend,
             cache_mode(o),
             &counters,
-            !o.no_analytic,
+            analytic,
         )
-        .map_err(|e| e.to_string())?
-    } else if o.queue && !o.endpoints.is_empty() {
-        // Remote fleet: each grid point's canonical blocks fan out across
-        // the endpoints through the fleet point-runner.
-        let runner = queue_runner_of(o)?;
-        run_sweep_tiered(&sweep, shard, runner.as_ref(), !o.no_analytic)
-            .map_err(|e| e.to_string())?
-    } else if o.queue {
+    } else if queue_points {
         run_sweep_queued_tiered(
             &sweep,
             shard,
             o.workers,
             eacp_exec::queue::DEFAULT_MAX_ATTEMPTS,
             &progress,
-            !o.no_analytic,
+            analytic,
         )
-        .map_err(|e| e.to_string())?
     } else {
-        run_sweep_tiered(
-            &sweep,
-            shard,
-            &LocalRunner::new(sweep.base.mc.threads),
-            !o.no_analytic,
-        )
-        .map_err(|e| e.to_string())?
-    };
+        run_sweep_tiered(&sweep, shard, runner.as_ref(), analytic)
+    }
+    .map_err(|e| e.to_string())?;
     let queue_note = if store.is_some() {
         let mut s = format!(
             ", store: {} served, {} computed",
@@ -981,18 +1140,15 @@ pub fn cmd_sweep(o: &Options) -> Result<String, String> {
             s.push_str(&format!(", {} quarantined", counters.quarantined()));
         }
         s
-    } else if o.queue && !o.endpoints.is_empty() {
-        let n = queue_spec_of(o).endpoints.len();
-        format!(", fleet: {n} endpoint(s)")
-    } else if o.queue {
+    } else if fleet > 0 {
+        format!(", fleet: {fleet} endpoint(s)")
+    } else if queue_points {
         format!(", queued: {}", progress.render(o.workers))
     } else {
         String::new()
     };
     if !o.out.is_empty() {
-        let path = grid
-            .save(std::path::Path::new(&o.out))
-            .map_err(|e| e.to_string())?;
+        let path = grid.save(Path::new(&o.out)).map_err(|e| e.to_string())?;
         return Ok(format!(
             "wrote {} ({} of {} grid points{}{queue_note})\n",
             path.display(),
@@ -1002,30 +1158,13 @@ pub fn cmd_sweep(o: &Options) -> Result<String, String> {
         ));
     }
     if o.json {
-        let docs: Vec<eacp_spec::Json> = grid.points.iter().map(|p| p.report.to_json()).collect();
-        return Ok(eacp_spec::Json::Array(docs).pretty());
+        let docs: Vec<Json> = grid.points.iter().map(|p| p.report.to_json()).collect();
+        return Ok(Json::Array(docs).pretty());
     }
-    let mut out = format!(
-        "sweep over {} points ({} replications each{}{queue_note})\n\n{:<44} {:>8} {:>12} {:>10}\n",
-        grid.total_points,
-        sweep.base.mc.replications,
-        shard.map_or_else(String::new, |s| format!(
-            ", shard {s}: {} points",
-            grid.points.len()
-        )),
-        "experiment",
-        "P",
-        "E(timely)",
-        "faults"
-    );
-    for p in &grid.points {
-        let r = &p.report;
-        out.push_str(&format!(
-            "{:<44} {:>8.4} {:>12.0} {:>10.2}\n",
-            r.spec.name, r.summary.p_timely, r.summary.energy_timely.mean, r.summary.faults.mean,
-        ));
-    }
-    Ok(out)
+    let shard_note = shard.map_or_else(String::new, |s| {
+        format!(", shard {s}: {} points", grid.points.len())
+    });
+    Ok(G::table(&grid, &format!("{shard_note}{queue_note}")))
 }
 
 /// Work-queue telemetry accumulated across the pool's threads; rendered
@@ -1088,14 +1227,13 @@ pub fn cmd_queue(o: &Options) -> Result<String, String> {
                 .positional
                 .get(1)
                 .ok_or("queue status: missing report directory")?;
-            let dir = std::path::Path::new(dir);
-            // Executive collections produce the same SweepCoverage shape,
-            // so both kinds render through one coverage formatter.
+            let dir = Path::new(dir);
             let cov = if dir_has_executive_reports(dir)? {
-                executive_coverage_dir(dir).map_err(|e| e.to_string())?
+                coverage_dir::<ExecutiveSweepSpec>(dir)
             } else {
-                coverage_dir(dir).map_err(|e| e.to_string())?
-            };
+                coverage_dir::<SweepSpec>(dir)
+            }
+            .map_err(|e| e.to_string())?;
             let mut out = format!(
                 "sweep {:?}: {} grid points{}\n",
                 cov.sweep_name,
@@ -1150,33 +1288,10 @@ pub fn cmd_store(o: &Options) -> Result<String, String> {
                 let text =
                     std::fs::read_to_string(&o.spec).map_err(|e| format!("{}: {e}", o.spec))?;
                 let json = Json::parse(&text).map_err(|e| format!("{}: {e}", o.spec))?;
-                // Cells are keyed by (spec hash, seed, replications), so
-                // coverage must be asked about the same Monte-Carlo block
-                // the sweep ran with — honor the same overrides. Both
-                // sweep kinds produce one StoreCoverage shape, rendered
-                // through the shared coverage formatter below.
                 let cov = if json_is_executive_sweep(&json) {
-                    let mut sweep = ExecutiveSweepSpec::from_json(&json)
-                        .map_err(|e| format!("{}: {e}", o.spec))?;
-                    if o.has("--reps") {
-                        let mut mc = sweep.base.mc_or_default();
-                        mc.replications = o.reps;
-                        sweep.base.mc = Some(mc);
-                    }
-                    if o.has("--seed") {
-                        sweep.base.seed = o.seed;
-                    }
-                    executive_store_coverage(&backend, &sweep).map_err(|e| e.to_string())?
+                    grid_store_coverage::<ExecutiveSweepSpec>(o, &backend, &json)?
                 } else {
-                    let mut sweep =
-                        SweepSpec::from_json(&json).map_err(|e| format!("{}: {e}", o.spec))?;
-                    if o.has("--reps") {
-                        sweep.base.mc.replications = o.reps;
-                    }
-                    if o.has("--seed") {
-                        sweep.base.mc.seed = o.seed;
-                    }
-                    store_coverage(&backend, &sweep).map_err(|e| e.to_string())?
+                    grid_store_coverage::<SweepSpec>(o, &backend, &json)?
                 };
                 out.push_str(&format!(
                     "sweep {:?}: {} grid points\n",
@@ -1224,11 +1339,25 @@ pub fn cmd_store(o: &Options) -> Result<String, String> {
     }
 }
 
+/// How much of the `store status --spec` grid the store covers. Cells are
+/// keyed by (spec hash, seed, replications), so coverage must be asked
+/// about the same Monte-Carlo block the sweep ran with — the sweep's
+/// overrides apply here too.
+fn grid_store_coverage<G: SweepCommand>(
+    o: &Options,
+    backend: &FsBackend,
+    json: &Json,
+) -> Result<StoreCoverage, String> {
+    let mut sweep = G::from_json(json).map_err(|e| format!("{}: {e}", o.spec))?;
+    sweep.override_mc(o);
+    store_coverage(backend, &sweep).map_err(|e| e.to_string())
+}
+
 /// Whether a report directory holds *executive* sweep documents (the
 /// embedded sweep base describes a periodic task set) rather than
 /// single-task experiment reports. The first document that embeds a
 /// sweep decides; merge/coverage then reject any mixed stragglers.
-fn dir_has_executive_reports(dir: &std::path::Path) -> Result<bool, String> {
+fn dir_has_executive_reports(dir: &Path) -> Result<bool, String> {
     let paths = eacp_exec::list_report_files(dir).map_err(|e| e.to_string())?;
     for path in &paths {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -1256,19 +1385,23 @@ pub fn cmd_merge(o: &Options) -> Result<String, String> {
         .positional
         .first()
         .ok_or("merge: missing report directory")?;
-    let dir = std::path::Path::new(dir);
+    let dir = Path::new(dir);
     let (text, points) = if dir_has_executive_reports(dir)? {
-        let grid = merge_executive_dir(dir).map_err(|e| e.to_string())?;
-        (grid.to_json().pretty(), grid.points.len())
+        merged_text::<ExecutiveSweepSpec>(dir)
     } else {
-        let grid = merge_dir(dir).map_err(|e| e.to_string())?;
-        (grid.to_json().pretty(), grid.points.len())
-    };
+        merged_text::<SweepSpec>(dir)
+    }?;
     if o.out.is_empty() {
         return Ok(text);
     }
     std::fs::write(&o.out, &text).map_err(|e| format!("{}: {e}", o.out))?;
     Ok(format!("merged {points} grid points into {}\n", o.out))
+}
+
+/// The merged grid document of a collection directory and its point count.
+fn merged_text<G: SweepGrid>(dir: &Path) -> Result<(String, usize), String> {
+    let grid = merge_dir::<G>(dir).map_err(|e| e.to_string())?;
+    Ok((grid.to_json().pretty(), grid.points.len()))
 }
 
 /// `eacp csv`: render a directory of report documents (grid/shard files
@@ -1279,17 +1412,12 @@ pub fn cmd_csv(o: &Options) -> Result<String, String> {
         .positional
         .first()
         .ok_or("csv: missing report directory")?;
-    let dir = std::path::Path::new(dir);
+    let dir = Path::new(dir);
     let (csv, rows) = if dir_has_executive_reports(dir)? {
-        let points = load_executive_points(dir)?;
-        (render_executive_csv(&points), points.len())
+        csv_text::<ExecutiveSweepSpec>(dir)
     } else {
-        let rows = load_report_rows(dir)?;
-        (
-            eacp_exec::csv::render_rows(&rows, &paper_ref_of),
-            rows.len(),
-        )
-    };
+        csv_text::<SweepSpec>(dir)
+    }?;
     if o.out.is_empty() {
         return Ok(csv);
     }
@@ -1297,49 +1425,16 @@ pub fn cmd_csv(o: &Options) -> Result<String, String> {
     Ok(format!("wrote {} ({} rows)\n", o.out, rows))
 }
 
-/// Loads every executive sweep report document under `dir` into grid
-/// points sorted by index — the executive analogue of
-/// [`load_report_rows`], with the same loud duplicate-coverage failure.
-// The map keys duplicate-detection paths; nothing iterates it (see
-// clippy.toml on R1 scope).
-#[allow(clippy::disallowed_types)]
-fn load_executive_points(dir: &std::path::Path) -> Result<Vec<ExecutivePointReport>, String> {
-    let paths = eacp_exec::list_report_files(dir).map_err(|e| e.to_string())?;
-    let mut points: Vec<ExecutivePointReport> = Vec::new();
-    let mut seen: std::collections::HashMap<usize, std::path::PathBuf> =
-        std::collections::HashMap::new();
-    for path in &paths {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let json = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        let grid = ExecutiveGridReport::from_json(&json).map_err(|e| {
-            format!(
-                "{}: invalid executive sweep report document: {e}",
-                path.display()
-            )
-        })?;
-        for p in grid.points {
-            if let Some(first) = seen.insert(p.index, path.clone()) {
-                return Err(format!(
-                    "{}: grid point {} already covered by {} — merged and \
-                     shard documents mixed in one directory?",
-                    path.display(),
-                    p.index,
-                    first.display()
-                ));
-            }
-            points.push(p);
-        }
-    }
-    if points.is_empty() {
-        return Err(format!("{}: no report documents found", dir.display()));
-    }
-    points.sort_by_key(|p| p.index);
-    Ok(points)
+/// The CSV matrix of a collection directory and its row count.
+fn csv_text<G: SweepCommand>(dir: &Path) -> Result<(String, usize), String> {
+    let rows = load_report_rows::<G>(dir)?;
+    Ok((G::csv(&rows), rows.len()))
 }
 
 /// Loads every `.json` report document under `dir` into CSV rows: sweep
-/// report documents contribute their grid points (sorted by index),
-/// standalone run reports follow without an index.
+/// report documents of grid kind `G` contribute their grid points (sorted
+/// by index), standalone run reports (`mc --json`, `executive --mc
+/// --json`) follow without an index.
 ///
 /// Uses the same directory-enumeration rule as `eacp merge`
 /// ([`eacp_exec::list_report_files`]) and, like merge, fails loudly on a
@@ -1348,20 +1443,21 @@ fn load_executive_points(dir: &std::path::Path) -> Result<Vec<ExecutivePointRepo
 // The map keys duplicate-detection paths; nothing iterates it, so hash
 // order cannot leak into output (see clippy.toml on R1 scope).
 #[allow(clippy::disallowed_types)]
-fn load_report_rows(dir: &std::path::Path) -> Result<Vec<(Option<usize>, RunReport)>, String> {
+fn load_report_rows<G: SweepGrid>(dir: &Path) -> Result<Vec<ReportRow<G>>, String> {
     let paths = eacp_exec::list_report_files(dir).map_err(|e| e.to_string())?;
-    let mut indexed: Vec<(usize, RunReport)> = Vec::new();
+    let mut indexed: Vec<(usize, ReportOf<G>)> = Vec::new();
     let mut seen: std::collections::HashMap<usize, std::path::PathBuf> =
         std::collections::HashMap::new();
-    let mut loose: Vec<RunReport> = Vec::new();
+    let mut loose: Vec<ReportOf<G>> = Vec::new();
     for path in &paths {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let json = eacp_spec::Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         // Dispatch on the document's shape so a malformed field surfaces
         // its real parse error instead of a generic "not a report".
         if json.get("points").is_some() || json.get("sweep").is_some() {
-            let grid = GridReport::from_json(&json)
-                .map_err(|e| format!("{}: invalid sweep report document: {e}", path.display()))?;
+            let grid = GridReport::<G>::from_json(&json).map_err(|e| {
+                format!("{}: invalid {} document: {e}", path.display(), G::DOCUMENT)
+            })?;
             for p in grid.points {
                 if let Some(first) = seen.insert(p.index, path.clone()) {
                     return Err(format!(
@@ -1375,7 +1471,7 @@ fn load_report_rows(dir: &std::path::Path) -> Result<Vec<(Option<usize>, RunRepo
                 indexed.push((p.index, p.report));
             }
         } else if json.get("spec").is_some() {
-            let report = RunReport::from_json(&json)
+            let report = ReportOf::<G>::from_json(&json)
                 .map_err(|e| format!("{}: invalid run report: {e}", path.display()))?;
             loose.push(report);
         } else {
@@ -1389,8 +1485,7 @@ fn load_report_rows(dir: &std::path::Path) -> Result<Vec<(Option<usize>, RunRepo
         return Err(format!("{}: no report documents found", dir.display()));
     }
     indexed.sort_by_key(|(i, _)| *i);
-    let mut rows: Vec<(Option<usize>, RunReport)> =
-        indexed.into_iter().map(|(i, r)| (Some(i), r)).collect();
+    let mut rows: Vec<_> = indexed.into_iter().map(|(i, r)| (Some(i), r)).collect();
     rows.extend(loose.into_iter().map(|r| (None, r)));
     Ok(rows)
 }
@@ -1768,8 +1863,8 @@ pub fn cmd_feasibility(o: &Options) -> Result<String, String> {
 /// hyperperiods of non-preemptive EDF and report per-task deadline
 /// misses, energy and checkpoint totals. `--mc` runs N seeded horizons
 /// through the replication engine instead ([`cmd_executive_mc`]);
-/// `--sweep grid.json` expands an executive sweep document
-/// ([`cmd_executive_sweep`]).
+/// `--sweep grid.json` expands an executive sweep document through the
+/// same sweep driver as `eacp sweep` ([`cmd_grid`]).
 pub fn cmd_executive(o: &Options) -> Result<String, String> {
     if o.has("--endpoints") {
         // The remote protocol ships spec-built replication jobs; executive
@@ -1777,7 +1872,7 @@ pub fn cmd_executive(o: &Options) -> Result<String, String> {
         return Err("--endpoints is not supported for executive workloads".to_owned());
     }
     if !o.sweep.is_empty() {
-        return cmd_executive_sweep(o);
+        return cmd_grid::<ExecutiveSweepSpec>(o);
     }
     if o.mc {
         return cmd_executive_mc(o);
@@ -1830,43 +1925,16 @@ pub fn cmd_executive(o: &Options) -> Result<String, String> {
 /// is served byte-identical to recomputation.
 fn cmd_executive_mc(o: &Options) -> Result<String, String> {
     let mut spec = executive_spec(o)?;
-    let mut mc = spec.mc_or_default();
-    if o.has("--reps") {
-        mc.replications = o.reps;
-    }
-    if o.has("--threads") {
-        mc.threads = o.threads;
-    }
+    override_executive_mc(&mut spec, o);
     if o.queue {
-        mc.queue = Some(eacp_spec::QueueSpec {
-            workers: o.workers,
-            ..Default::default()
-        });
+        ExecutiveSweepSpec::set_queue(&mut spec, queue_spec_of(o));
     }
-    spec.mc = Some(mc);
+    spec.mc = Some(spec.mc_or_default());
     spec.validate().map_err(|e| e.to_string())?;
     if o.emit_spec {
         return Ok(spec.to_json_string());
     }
-    let mut note = String::new();
-    let report = match resolve_store(o)? {
-        Some(backend) => {
-            let run = run_executive_cached(&spec, &backend, cache_mode(o), &NoopStoreObserver)
-                .map_err(|e| e.to_string())?;
-            note = store_note(run.cache, run.source.as_deref());
-            run.report
-        }
-        None => {
-            // Same dispatch as the single-task path: an mc.queue section
-            // picks the work-queue runner, result-neutral by construction.
-            let mc = spec.mc_or_default();
-            let runner: Box<dyn Runner> = match mc.queue {
-                Some(q) => Box::new(QueueRunner::new(q.workers).with_max_attempts(q.max_attempts)),
-                None => Box::new(LocalRunner::new(mc.threads)),
-            };
-            run_executive_point(runner.as_ref(), &spec).map_err(|e| e.to_string())?
-        }
-    };
+    let (_, report, note) = run_point(o, &spec)?;
     if o.json {
         // Byte-identical on hit and miss; cache telemetry stays out.
         return Ok(report.to_json().pretty());
@@ -1914,149 +1982,6 @@ fn cmd_executive_mc(o: &Options) -> Result<String, String> {
         ));
     }
     out.push_str(&note);
-    Ok(out)
-}
-
-/// `eacp executive --sweep grid.json`: expand an
-/// [`ExecutiveSweepSpec`] and run every grid point (or one `--shard i/n`
-/// of it) as an executive Monte-Carlo, with the same resumable-store and
-/// sharded-collection workflow as the single-task `eacp sweep`.
-fn cmd_executive_sweep(o: &Options) -> Result<String, String> {
-    if !o.spec.is_empty() || !o.preset.is_empty() || !o.tasks.is_empty() {
-        return Err(
-            "executive --sweep: the sweep document embeds its base spec — drop \
-             --spec/--preset/--tasks"
-                .to_owned(),
-        );
-    }
-    // Grid axes own the experiment shape; only base-level Monte-Carlo
-    // knobs make sense as overrides (mirrors `eacp sweep`).
-    for flag in [
-        "--scheme",
-        "--lambda",
-        "--k",
-        "--hyperperiods",
-        "--speed",
-        "--variant",
-    ] {
-        if o.has(flag) {
-            return Err(format!(
-                "executive --sweep: {flag} cannot override a sweep document — edit the \
-                 base spec or its axes"
-            ));
-        }
-    }
-    let mut sweep =
-        ExecutiveSweepSpec::load(std::path::Path::new(&o.sweep)).map_err(|e| e.to_string())?;
-    if o.has("--reps") || o.has("--threads") {
-        let mut mc = sweep.base.mc_or_default();
-        if o.has("--reps") {
-            mc.replications = o.reps;
-        }
-        if o.has("--threads") {
-            mc.threads = o.threads;
-        }
-        sweep.base.mc = Some(mc);
-    }
-    if o.has("--seed") {
-        sweep.base.seed = o.seed;
-    }
-    let shard = if o.shard.is_empty() {
-        None
-    } else {
-        Some(ShardId::parse(&o.shard).map_err(|e| e.to_string())?)
-    };
-    let base_mc = sweep.base.mc_or_default();
-    if o.emit_spec {
-        let mut specs = sweep.expand().map_err(|e| e.to_string())?;
-        if o.queue {
-            // Emitted point specs must reproduce the scheduling choice.
-            for spec in &mut specs {
-                let mut mc = spec.mc_or_default();
-                mc.queue = Some(eacp_spec::QueueSpec {
-                    workers: o.workers,
-                    ..Default::default()
-                });
-                spec.mc = Some(mc);
-            }
-        }
-        let range = shard.map_or(0..specs.len(), |s| s.range(specs.len()));
-        let docs: Vec<Json> = specs[range].iter().map(ToJson::to_json).collect();
-        return Ok(Json::Array(docs).pretty());
-    }
-    let store = resolve_store(o)?;
-    let counters = StoreCounters::new();
-    let runner: Box<dyn Runner> = if o.queue {
-        Box::new(QueueRunner::new(o.workers))
-    } else {
-        Box::new(LocalRunner::new(base_mc.threads))
-    };
-    let grid = if let Some(backend) = &store {
-        run_executive_sweep_cached(
-            &sweep,
-            shard,
-            runner.as_ref(),
-            backend,
-            cache_mode(o),
-            &counters,
-        )
-        .map_err(|e| e.to_string())?
-    } else {
-        run_executive_sweep(&sweep, shard, runner.as_ref()).map_err(|e| e.to_string())?
-    };
-    let queue_note = if store.is_some() {
-        let mut s = format!(
-            ", store: {} served, {} computed",
-            counters.hits(),
-            counters.records()
-        );
-        if counters.quarantined() > 0 {
-            s.push_str(&format!(", {} quarantined", counters.quarantined()));
-        }
-        s
-    } else {
-        String::new()
-    };
-    if !o.out.is_empty() {
-        let path = grid
-            .save(std::path::Path::new(&o.out))
-            .map_err(|e| e.to_string())?;
-        return Ok(format!(
-            "wrote {} ({} of {} grid points{}{queue_note})\n",
-            path.display(),
-            grid.points.len(),
-            grid.total_points,
-            shard.map_or_else(String::new, |s| format!(", shard {s}")),
-        ));
-    }
-    if o.json {
-        let docs: Vec<Json> = grid.points.iter().map(|p| p.report.to_json()).collect();
-        return Ok(Json::Array(docs).pretty());
-    }
-    let mut out = format!(
-        "executive sweep over {} points ({} seeded horizons each{}{queue_note})\n\n\
-         {:<44} {:>10} {:>12} {:>10}\n",
-        grid.total_points,
-        base_mc.replications,
-        shard.map_or_else(String::new, |s| format!(
-            ", shard {s}: {} points",
-            grid.points.len()
-        )),
-        "experiment",
-        "miss",
-        "E(horizon)",
-        "faults"
-    );
-    for p in &grid.points {
-        let r = &p.report;
-        out.push_str(&format!(
-            "{:<44} {:>10.4} {:>12.0} {:>10.2}\n",
-            r.spec.name,
-            r.summary.mean_miss_ratio(),
-            r.summary.mean_energy(),
-            r.summary.horizon_faults.mean(),
-        ));
-    }
     Ok(out)
 }
 
@@ -2227,7 +2152,8 @@ pub fn cmd_bench(o: &Options) -> Result<String, String> {
     let mut sweep_points = 0;
     for i in 0..=iterations {
         let started = Instant::now();
-        let grid = run_sweep(&sweep, None, o.threads).map_err(|e| e.to_string())?;
+        let grid = run_sweep_tiered(&sweep, None, &LocalRunner::new(o.threads), true)
+            .map_err(|e| e.to_string())?;
         if i > 0 {
             sweep_s = sweep_s.min(started.elapsed().as_secs_f64());
         }
@@ -2243,12 +2169,24 @@ pub fn cmd_bench(o: &Options) -> Result<String, String> {
     for i in 0..=iterations {
         let store = MemBackend::new();
         let started = Instant::now();
-        let cold = run_cached(&spec, &store, CacheMode::ReadWrite, &NoopStoreObserver)
-            .map_err(|e| e.to_string())?;
+        let cold = run_cached_tiered(
+            &spec,
+            &store,
+            CacheMode::ReadWrite,
+            &NoopStoreObserver,
+            true,
+        )
+        .map_err(|e| e.to_string())?;
         let cold_rep_s = started.elapsed().as_secs_f64();
         let started = Instant::now();
-        let warm = run_cached(&spec, &store, CacheMode::ReadWrite, &NoopStoreObserver)
-            .map_err(|e| e.to_string())?;
+        let warm = run_cached_tiered(
+            &spec,
+            &store,
+            CacheMode::ReadWrite,
+            &NoopStoreObserver,
+            true,
+        )
+        .map_err(|e| e.to_string())?;
         let warm_rep_s = started.elapsed().as_secs_f64();
         if cold.cache != CacheOutcome::Miss
             || warm.cache != CacheOutcome::Hit

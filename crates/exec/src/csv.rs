@@ -8,7 +8,6 @@
 //! `eacp-experiments` (which owns the transcribed paper tables); the CLI
 //! wires the two together.
 
-use crate::shard::PointReport;
 use eacp_spec::RunReport;
 
 /// The paper's reported values for one (operating point, scheme) cell.
@@ -22,7 +21,7 @@ pub struct PaperRef {
 
 /// Formats a float cell; `NaN` renders as an empty cell (the CSV mirror of
 /// the paper's `NaN` energy entries).
-fn cell(v: f64, precision: usize) -> String {
+pub(crate) fn cell(v: f64, precision: usize) -> String {
     if v.is_nan() {
         String::new()
     } else {
@@ -61,24 +60,10 @@ fn row(index: Option<usize>, report: &RunReport, paper: Option<PaperRef>) -> Str
     )
 }
 
-/// Renders a set of grid points as a CSV matrix, one row per point in
-/// ascending grid order. `paper` maps a report to the paper's reference
-/// values where the operating point matches a transcribed table cell.
-pub fn render_csv(
-    points: &[PointReport],
-    paper: &dyn Fn(&RunReport) -> Option<PaperRef>,
-) -> String {
-    let mut out = String::from(CSV_HEADER);
-    out.push('\n');
-    for p in points {
-        out.push_str(&row(Some(p.index), &p.report, paper(&p.report)));
-        out.push('\n');
-    }
-    out
-}
-
-/// [`render_csv`] over pre-assembled rows, for mixtures of grid points
-/// (indexed) and standalone run reports (no grid index).
+/// Renders reports as a CSV matrix, one row per report: grid points
+/// (indexed, ascending) and standalone run reports (no grid index).
+/// `paper` maps a report to the paper's reference values where the
+/// operating point matches a transcribed table cell.
 pub fn render_rows(
     rows: &[(Option<usize>, RunReport)],
     paper: &dyn Fn(&RunReport) -> Option<PaperRef>,
@@ -95,10 +80,11 @@ pub fn render_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::run_sweep;
+    use crate::runner::LocalRunner;
+    use crate::shard::run_sweep_tiered;
     use eacp_spec::{ExperimentSpec, McSpec, SweepAxis, SweepSpec};
 
-    fn points() -> Vec<PointReport> {
+    fn points() -> Vec<(Option<usize>, RunReport)> {
         let mut base = ExperimentSpec::paper_nominal();
         base.name = "csv".into();
         base.mc = McSpec {
@@ -110,13 +96,21 @@ mod tests {
             base,
             axes: vec![SweepAxis::Lambda(vec![1e-4, 1.4e-3])],
         };
-        run_sweep(&sweep, None, 1).unwrap().points
+        rows(&sweep)
+    }
+
+    fn rows(sweep: &SweepSpec) -> Vec<(Option<usize>, RunReport)> {
+        let grid = run_sweep_tiered(sweep, None, &LocalRunner::new(1), true).unwrap();
+        grid.points
+            .into_iter()
+            .map(|p| (Some(p.index), p.report))
+            .collect()
     }
 
     #[test]
     fn csv_has_header_and_one_row_per_point() {
         let pts = points();
-        let csv = render_csv(&pts, &|_| None);
+        let csv = render_rows(&pts, &|_| None);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], CSV_HEADER);
         assert_eq!(lines.len(), 1 + pts.len());
@@ -132,7 +126,7 @@ mod tests {
     #[test]
     fn paper_deltas_are_rendered_when_the_lookup_hits() {
         let pts = points();
-        let csv = render_csv(&pts, &|r| {
+        let csv = render_rows(&pts, &|r| {
             Some(PaperRef {
                 p: r.summary.p_timely,
                 e: f64::NAN,
@@ -161,8 +155,8 @@ mod tests {
             base: spec,
             axes: vec![SweepAxis::K(vec![5])],
         };
-        let pts = run_sweep(&sweep, None, 1).unwrap().points;
-        let csv = render_csv(&pts, &|_| None);
+        let pts = rows(&sweep);
+        let csv = render_rows(&pts, &|_| None);
         let cols: Vec<&str> = csv.lines().nth(1).unwrap().split(',').collect();
         assert_eq!(cols[4], "0.0000"); // P
         assert_eq!(cols[7], ""); // E(timely) is NaN

@@ -1,21 +1,19 @@
-//! Sharded executive Monte-Carlo sweeps: the [`crate::ExecutiveJob`]
-//! counterpart of the single-task sweep executor in [`crate::shard`].
+//! The executive point kind of the sweep pipeline: [`ExecutiveSpec`]
+//! implements [`SweepPoint`] (and [`ExecutiveSweepSpec`] [`SweepGrid`]),
+//! so executive grids run, shard, merge, cover and cache through the same
+//! generic functions as single-task grids.
 //!
-//! The workflow is the same — expand an [`ExecutiveSweepSpec`] grid,
-//! partition it across machines by grid-index range ([`ShardId`]), emit
-//! per-shard report documents, reassemble with [`merge_executive_dir`] —
-//! and so are the guarantees: expansion derives each point's seed from its
-//! flat index, every point runs through a [`Runner`] honoring the
-//! canonical-reduction contract, and the merged document is bit-identical
-//! to the unsharded run. Coverage inspection reuses the single-task
-//! [`SweepCoverage`]/[`DocCoverage`] types (and therefore the CLI's shared
-//! coverage renderer) unchanged.
+//! What stays here is what is executive-specific: the
+//! [`ExecutiveMcReport`] document with its codec, the per-point unit of
+//! work [`run_executive_point`], and the CSV renderer with its
+//! distribution columns.
 
+use crate::csv::cell;
 use crate::executive_mc::{ExecutiveJob, ExecutiveSummary};
 use crate::runner::Runner;
-use crate::shard::{list_report_files, DocCoverage, ShardId, SweepCoverage};
+use crate::shard::{SweepGrid, SweepPoint};
 use eacp_spec::{ExecutiveSpec, ExecutiveSweepSpec, FromJson, Json, SpecError, ToJson};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// One executive Monte-Carlo result: the spec that produced it, the
 /// resolved per-task policy names, and the exact mergeable summary.
@@ -23,7 +21,7 @@ use std::path::{Path, PathBuf};
 /// The embedded [`ExecutiveSummary`] serializes losslessly (raw
 /// accumulator state), so a loaded report compares equal to — and
 /// re-serializes byte-identical with — its recomputation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ExecutiveMcReport {
     /// The validated spec the run was built from (provenance).
     pub spec: ExecutiveSpec,
@@ -31,6 +29,19 @@ pub struct ExecutiveMcReport {
     pub policy_names: Vec<String>,
     /// The exact Monte-Carlo aggregate.
     pub summary: ExecutiveSummary,
+    /// Where this report was read from: a store entry or a report
+    /// document (`None` when freshly computed). Never serialized.
+    pub source: Option<PathBuf>,
+}
+
+// Provenance is where the report came from, not part of the result, so a
+// loaded report compares equal to its recomputation.
+impl PartialEq for ExecutiveMcReport {
+    fn eq(&self, other: &Self) -> bool {
+        self.spec == other.spec
+            && self.policy_names == other.policy_names
+            && self.summary == other.summary
+    }
 }
 
 impl ToJson for ExecutiveMcReport {
@@ -62,13 +73,14 @@ impl FromJson for ExecutiveMcReport {
                 .map(|n| Ok(n.as_str()?.to_owned()))
                 .collect::<Result<_, SpecError>>()?,
             summary: ExecutiveSummary::from_json(json.req("summary")?)?,
+            source: None,
         })
     }
 }
 
 /// Runs one executive spec on a [`Runner`], wrapping the summary as an
-/// [`ExecutiveMcReport`] — the single-point unit of work shared by the
-/// sweep executor and the result store's cache-or-compute path.
+/// [`ExecutiveMcReport`] — the per-cell unit of work the sweep executors
+/// loop over.
 pub fn run_executive_point(
     runner: &dyn Runner,
     spec: &ExecutiveSpec,
@@ -79,375 +91,55 @@ pub fn run_executive_point(
         spec: spec.clone(),
         policy_names: job.policy_names(),
         summary,
-    })
-}
-
-/// One executive grid point's result, tagged with its flat grid index.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExecutivePointReport {
-    /// Flat index into `ExecutiveSweepSpec::expand()` order.
-    pub index: usize,
-    /// The point's full report (spec embedded for provenance).
-    pub report: ExecutiveMcReport,
-}
-
-/// An executive sweep result document: the whole grid, or one shard.
-#[derive(Debug, Clone)]
-pub struct ExecutiveGridReport {
-    /// The sweep that produced (or will reproduce) these points.
-    pub sweep: ExecutiveSweepSpec,
-    /// Total grid points in the full sweep (not just this document).
-    pub total_points: usize,
-    /// Which shard this document covers (`None` = the full grid).
-    pub shard: Option<ShardId>,
-    /// Covered points, ascending by grid index.
-    pub points: Vec<ExecutivePointReport>,
-    /// Where this document was loaded from (`None` for freshly computed
-    /// grids). Never serialized — diagnostics provenance only.
-    pub source: Option<PathBuf>,
-}
-
-// Provenance is where the document came from, not part of the result, so
-// a loaded shard compares equal to its recomputation.
-impl PartialEq for ExecutiveGridReport {
-    fn eq(&self, other: &Self) -> bool {
-        self.sweep == other.sweep
-            && self.total_points == other.total_points
-            && self.shard == other.shard
-            && self.points == other.points
-    }
-}
-
-impl ExecutiveGridReport {
-    /// The canonical file name: `grid.json` for a full grid,
-    /// `shard-I-of-N.json` for one shard — the same collection-directory
-    /// convention as single-task sweeps.
-    pub fn file_name(&self) -> String {
-        match self.shard {
-            None => "grid.json".to_owned(),
-            Some(s) => format!("shard-{}-of-{}.json", s.index, s.count),
-        }
-    }
-
-    /// Writes the document into `dir` (created if absent) under its
-    /// canonical [`ExecutiveGridReport::file_name`]; returns the path.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures carry the offending path.
-    pub fn save(&self, dir: &Path) -> Result<PathBuf, SpecError> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| SpecError::Io(format!("{}: {e}", dir.display())))?;
-        let path = dir.join(self.file_name());
-        std::fs::write(&path, self.to_json().pretty())
-            .map_err(|e| SpecError::Io(format!("{}: {e}", path.display())))?;
-        Ok(path)
-    }
-
-    /// Reads one document; every failure names the offending file.
-    ///
-    /// # Errors
-    ///
-    /// Unreadable files, malformed JSON and non-executive-sweep documents
-    /// are [`SpecError`]s carrying the path.
-    pub fn load(path: &Path) -> Result<Self, SpecError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| SpecError::Io(format!("{}: {e}", path.display())))?;
-        let json = Json::parse(&text)
-            .map_err(|e| SpecError::invalid(format!("{}: {e}", path.display())))?;
-        let mut doc = Self::from_json(&json).map_err(|e| {
-            SpecError::invalid(format!(
-                "{}: invalid executive sweep report document: {e}",
-                path.display()
-            ))
-        })?;
-        doc.source = Some(path.to_path_buf());
-        Ok(doc)
-    }
-}
-
-impl ToJson for ExecutiveGridReport {
-    fn to_json(&self) -> Json {
-        let mut fields: Vec<(&'static str, Json)> = vec![
-            ("sweep", self.sweep.to_json()),
-            ("total_points", self.total_points.into()),
-        ];
-        if let Some(shard) = self.shard {
-            fields.push(("shard", shard.to_json()));
-        }
-        fields.push((
-            "points",
-            Json::Array(
-                self.points
-                    .iter()
-                    .map(|p| Json::obj([("index", p.index.into()), ("report", p.report.to_json())]))
-                    .collect(),
-            ),
-        ));
-        Json::obj(fields)
-    }
-}
-
-impl FromJson for ExecutiveGridReport {
-    fn from_json(json: &Json) -> Result<Self, SpecError> {
-        let shard = match json.get("shard") {
-            None | Some(Json::Null) => None,
-            Some(s) => Some(ShardId::from_json(s)?),
-        };
-        let mut points = Vec::new();
-        for item in json.req("points")?.as_array()? {
-            points.push(ExecutivePointReport {
-                index: item.req("index")?.as_usize()?,
-                report: ExecutiveMcReport::from_json(item.req("report")?)?,
-            });
-        }
-        Ok(Self {
-            sweep: ExecutiveSweepSpec::from_json(json.req("sweep")?)?,
-            total_points: json.req("total_points")?.as_usize()?,
-            shard,
-            points,
-            source: None,
-        })
-    }
-}
-
-/// Expands an executive sweep and runs the selected shard (or, with
-/// `shard = None`, the whole grid) on `runner`.
-///
-/// Each grid point's seed comes from the expansion, so a point's report
-/// does not depend on which shard — or which runner — executed it.
-///
-/// # Errors
-///
-/// Per-point failures are wrapped with the grid index and point name.
-pub fn run_executive_sweep(
-    sweep: &ExecutiveSweepSpec,
-    shard: Option<ShardId>,
-    runner: &dyn Runner,
-) -> Result<ExecutiveGridReport, SpecError> {
-    let specs = sweep.expand()?;
-    let total = specs.len();
-    let range = match shard {
-        Some(s) => s.range(total),
-        None => 0..total,
-    };
-    let mut points = Vec::with_capacity(range.len());
-    for index in range {
-        let spec = &specs[index];
-        let report = run_executive_point(runner, spec)
-            .map_err(|e| SpecError::invalid(format!("grid point {index} ({}): {e}", spec.name)))?;
-        points.push(ExecutivePointReport { index, report });
-    }
-    Ok(ExecutiveGridReport {
-        sweep: sweep.clone(),
-        total_points: total,
-        shard,
-        points,
         source: None,
     })
 }
 
-/// A directory of executive report documents proven to belong to one
-/// sweep — the shared front half of [`merge_executive_dir`] and
-/// [`executive_coverage_dir`], mirroring the single-task loader's checks
-/// (including the total-vs-expansion guard, so a lying `total_points`
-/// surfaces as an error naming the file rather than a fantasy-sized
-/// allocation).
-struct ExecutiveDocs {
-    docs: Vec<(PathBuf, ExecutiveGridReport)>,
-    total: usize,
-    expected: Vec<ExecutiveSpec>,
-    shard_count: Option<u64>,
+/// The executive point: `mc.replications` seeded hyperperiod horizons
+/// reduced into an [`ExecutiveSummary`]. Executive horizons have no
+/// closed-form tier, so `analytic` is ignored.
+impl SweepPoint for ExecutiveSpec {
+    type Report = ExecutiveMcReport;
+    type Acc = ExecutiveSummary;
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn runner(&self) -> Result<Box<dyn Runner>, SpecError> {
+        let mc = self.mc_or_default();
+        crate::runner_for(mc.queue.as_ref(), mc.threads)
+    }
+
+    fn compute(
+        &self,
+        runner: &dyn Runner,
+        _analytic: bool,
+    ) -> Result<(ExecutiveSummary, ExecutiveMcReport), SpecError> {
+        let report = run_executive_point(runner, self)?;
+        Ok((report.summary.clone(), report))
+    }
+
+    fn report_spec(report: &ExecutiveMcReport) -> &Self {
+        &report.spec
+    }
+
+    fn report_source(report: &mut ExecutiveMcReport) -> &mut Option<PathBuf> {
+        &mut report.source
+    }
 }
 
-fn load_executive_docs(dir: &Path) -> Result<ExecutiveDocs, SpecError> {
-    let paths = list_report_files(dir)?;
-    if paths.is_empty() {
-        return Err(SpecError::invalid(format!(
-            "{}: no .json report documents found",
-            dir.display()
-        )));
+impl SweepGrid for ExecutiveSweepSpec {
+    type Point = ExecutiveSpec;
+    const DOCUMENT: &'static str = "executive sweep report";
+
+    fn points(&self) -> Result<Vec<ExecutiveSpec>, SpecError> {
+        self.expand()
     }
 
-    let mut docs = Vec::with_capacity(paths.len());
-    for path in paths {
-        let doc = ExecutiveGridReport::load(&path)?;
-        docs.push((path, doc));
+    fn name(&self) -> &str {
+        &self.base.name
     }
-
-    let (first_path, first) = &docs[0];
-    let sweep_fingerprint = first.sweep.to_json().pretty();
-    let total = first.total_points;
-    let mut shard_count: Option<u64> = None;
-    for (path, doc) in &docs {
-        if doc.sweep.to_json().pretty() != sweep_fingerprint {
-            return Err(SpecError::invalid(format!(
-                "{}: sweep spec differs from {} — these shards are not from \
-                 the same sweep",
-                path.display(),
-                first_path.display()
-            )));
-        }
-        if doc.total_points != total {
-            return Err(SpecError::invalid(format!(
-                "{}: declares {} total points, {} declares {total}",
-                path.display(),
-                doc.total_points,
-                first_path.display()
-            )));
-        }
-        if let Some(s) = doc.shard {
-            match shard_count {
-                None => shard_count = Some(s.count),
-                Some(c) if c != s.count => {
-                    return Err(SpecError::invalid(format!(
-                        "{}: shard count {} conflicts with earlier shard count {c}",
-                        path.display(),
-                        s.count
-                    )))
-                }
-                Some(_) => {}
-            }
-        }
-    }
-
-    let expected = first.sweep.expand()?;
-    if expected.len() != total {
-        return Err(SpecError::invalid(format!(
-            "{}: declares {total} total points but its embedded sweep \
-             expands to {} — corrupt or tampered document",
-            first_path.display(),
-            expected.len()
-        )));
-    }
-    Ok(ExecutiveDocs {
-        docs,
-        total,
-        expected,
-        shard_count,
-    })
-}
-
-/// Reads every `*.json` document in `dir` and reassembles the full
-/// executive grid — same loud-failure rules as [`crate::merge_dir`]:
-/// missing, duplicated, out-of-range and spec-mismatched points are
-/// [`SpecError`]s naming the offending file or index.
-///
-/// # Errors
-///
-/// See above.
-pub fn merge_executive_dir(dir: &Path) -> Result<ExecutiveGridReport, SpecError> {
-    let ExecutiveDocs {
-        docs,
-        total,
-        expected,
-        ..
-    } = load_executive_docs(dir)?;
-    let sweep = docs[0].1.sweep.clone();
-
-    let mut slots: Vec<Option<ExecutivePointReport>> = vec![None; total];
-    for (path, doc) in &docs {
-        for point in &doc.points {
-            if point.index >= total {
-                return Err(SpecError::invalid(format!(
-                    "{}: grid point {} is out of range for a {total}-point sweep",
-                    path.display(),
-                    point.index
-                )));
-            }
-            if slots[point.index].is_some() {
-                return Err(SpecError::invalid(format!(
-                    "{}: grid point {} is covered twice — duplicated shard?",
-                    path.display(),
-                    point.index
-                )));
-            }
-            if point.report.spec != expected[point.index] {
-                return Err(SpecError::invalid(format!(
-                    "{}: grid point {}'s embedded spec does not match the \
-                     sweep expansion (expected {:?}, found {:?})",
-                    path.display(),
-                    point.index,
-                    expected[point.index].name,
-                    point.report.spec.name
-                )));
-            }
-            slots[point.index] = Some(point.clone());
-        }
-    }
-    let missing: Vec<usize> = slots
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| s.is_none().then_some(i))
-        .collect();
-    if !missing.is_empty() {
-        return Err(SpecError::invalid(format!(
-            "incomplete grid: {} of {total} points missing (indices {:?}{}) — \
-             withheld shard?",
-            missing.len(),
-            &missing[..missing.len().min(8)],
-            if missing.len() > 8 { ", ..." } else { "" }
-        )));
-    }
-
-    Ok(ExecutiveGridReport {
-        sweep,
-        total_points: total,
-        shard: None,
-        // audit:allow(panic): the `missing` check above already rejected
-        // grids with any unfilled slot.
-        points: slots.into_iter().map(|s| s.expect("checked")).collect(),
-        source: None,
-    })
-}
-
-/// Inspects an executive result-collection directory, producing the same
-/// [`SweepCoverage`] the single-task path produces — which is exactly what
-/// lets `eacp queue status` and `eacp store status` render both kinds
-/// through one shared coverage formatter.
-///
-/// # Errors
-///
-/// Same rules as [`crate::coverage_dir`]: unreadable/malformed/mixed
-/// documents fail loudly; incomplete or duplicated coverage is reported.
-pub fn executive_coverage_dir(dir: &Path) -> Result<SweepCoverage, SpecError> {
-    let ExecutiveDocs {
-        docs,
-        total,
-        shard_count,
-        ..
-    } = load_executive_docs(dir)?;
-    let sweep_name = docs[0].1.sweep.base.name.clone();
-
-    let mut hits: std::collections::BTreeMap<usize, usize> = Default::default();
-    let docs: Vec<DocCoverage> = docs
-        .into_iter()
-        .map(|(path, doc)| {
-            let mut indices: Vec<usize> = doc.points.iter().map(|p| p.index).collect();
-            indices.sort_unstable();
-            for &i in &indices {
-                *hits.entry(i).or_insert(0) += 1;
-            }
-            DocCoverage {
-                path,
-                shard: doc.shard,
-                indices,
-            }
-        })
-        .collect();
-    let missing = (0..total).filter(|i| !hits.contains_key(i)).collect();
-    let duplicated = hits
-        .iter()
-        .filter_map(|(&i, &n)| (n > 1).then_some(i))
-        .collect();
-    Ok(SweepCoverage {
-        sweep_name,
-        total_points: total,
-        shard_count,
-        docs,
-        missing,
-        duplicated,
-    })
 }
 
 /// The executive CSV header row (no trailing newline): per-point counters
@@ -457,15 +149,6 @@ pub const EXECUTIVE_CSV_HEADER: &str = "index,experiment,policies,horizons,jobs,
 deadline_misses,faults,rollbacks,checkpoints,total_energy,\
 miss_ratio_mean,miss_ratio_sd,miss_ratio_min,miss_ratio_max,\
 energy_mean,energy_sd,energy_min,energy_max";
-
-/// Formats a float cell; `NaN` (empty distributions) renders empty.
-fn cell(v: f64, precision: usize) -> String {
-    if v.is_nan() {
-        String::new()
-    } else {
-        format!("{v:.precision$}")
-    }
-}
 
 fn distribution_cells(s: &eacp_numerics::OnlineStats, precision: usize) -> String {
     let (count, _, _, min, max) = s.raw_parts();
@@ -483,18 +166,18 @@ fn distribution_cells(s: &eacp_numerics::OnlineStats, precision: usize) -> Strin
     )
 }
 
-/// Renders executive grid points as a CSV matrix, one row per point in
-/// ascending grid order.
-pub fn render_executive_csv(points: &[ExecutivePointReport]) -> String {
+/// Renders executive reports as a CSV matrix, one row per report: grid
+/// points (indexed, ascending) and standalone reports (no grid index).
+pub fn render_executive_csv(rows: &[(Option<usize>, ExecutiveMcReport)]) -> String {
     let mut out = String::from(EXECUTIVE_CSV_HEADER);
     out.push('\n');
-    for p in points {
-        let s = &p.report.summary;
+    for (index, report) in rows {
+        let s = &report.summary;
         out.push_str(&format!(
             "{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            p.index,
-            p.report.spec.name,
-            p.report.policy_names.join("+"),
+            index.map_or_else(String::new, |i| i.to_string()),
+            report.spec.name,
+            report.policy_names.join("+"),
             s.horizons,
             s.jobs,
             s.deadline_misses,
@@ -512,7 +195,10 @@ pub fn render_executive_csv(points: &[ExecutivePointReport]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::LocalRunner;
+    use crate::shard::tests::{
+        assert_json_round_trip, assert_merge_reassembles, assert_shards_tile, run,
+    };
+    use crate::shard::{coverage_dir, merge_dir};
     use eacp_spec::{
         ExecutiveMcSpec, ExecutiveSweepAxis, FaultSpec, PolicyAssignment, PolicySpec, TaskSetSpec,
     };
@@ -542,44 +228,21 @@ mod tests {
 
     #[test]
     fn sharded_executive_points_equal_unsharded_points() {
-        let sweep = small_sweep();
-        let runner = LocalRunner::new(1);
-        let full = run_executive_sweep(&sweep, None, &runner).unwrap();
-        assert_eq!(full.points.len(), 4);
-        let mut collected = Vec::new();
-        for i in 0..3 {
-            let shard =
-                run_executive_sweep(&sweep, Some(ShardId::new(i, 3).unwrap()), &runner).unwrap();
-            collected.extend(shard.points);
-        }
-        collected.sort_by_key(|p| p.index);
-        assert_eq!(collected, full.points);
+        assert_shards_tile(&small_sweep());
     }
 
     #[test]
     fn executive_merge_reassembles_bit_identically() {
-        let sweep = small_sweep();
-        let runner = LocalRunner::new(1);
         let base = std::env::temp_dir().join(format!("eacp-exec-exshard-{}", std::process::id()));
         let dir = base.join("sharded");
         let _ = std::fs::remove_dir_all(&base);
-
-        let full = run_executive_sweep(&sweep, None, &runner).unwrap();
-        for i in 0..3 {
-            run_executive_sweep(&sweep, Some(ShardId::new(i, 3).unwrap()), &runner)
-                .unwrap()
-                .save(&dir)
-                .unwrap();
-        }
-        let merged = merge_executive_dir(&dir).unwrap();
-        assert_eq!(merged, full);
-        assert_eq!(merged.to_json().pretty(), full.to_json().pretty());
+        assert_merge_reassembles(&small_sweep(), &dir);
 
         // Withheld shard → loud failure; coverage reports it calmly.
         std::fs::remove_file(dir.join("shard-1-of-3.json")).unwrap();
-        let err = merge_executive_dir(&dir).unwrap_err();
+        let err = merge_dir::<ExecutiveSweepSpec>(&dir).unwrap_err();
         assert!(err.to_string().contains("missing"), "{err}");
-        let cov = executive_coverage_dir(&dir).unwrap();
+        let cov = coverage_dir::<ExecutiveSweepSpec>(&dir).unwrap();
         assert_eq!(cov.sweep_name, "exec-grid");
         assert_eq!(cov.total_points, 4);
         assert!(!cov.complete());
@@ -590,24 +253,19 @@ mod tests {
 
     #[test]
     fn executive_grid_round_trips_through_json() {
-        let sweep = small_sweep();
-        let shard = run_executive_sweep(
-            &sweep,
-            Some(ShardId::new(1, 2).unwrap()),
-            &LocalRunner::new(1),
-        )
-        .unwrap();
-        let text = shard.to_json().pretty();
-        let back = ExecutiveGridReport::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, shard);
-        assert_eq!(back.to_json().pretty(), text);
+        assert_json_round_trip(&small_sweep());
     }
 
     #[test]
     fn executive_csv_has_header_and_distribution_columns() {
         let sweep = small_sweep();
-        let full = run_executive_sweep(&sweep, None, &LocalRunner::new(1)).unwrap();
-        let csv = render_executive_csv(&full.points);
+        let full = run(&sweep, None);
+        let rows: Vec<_> = full
+            .points
+            .iter()
+            .map(|p| (Some(p.index), p.report.clone()))
+            .collect();
+        let csv = render_executive_csv(&rows);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], EXECUTIVE_CSV_HEADER);
         assert_eq!(lines.len(), 1 + full.points.len());

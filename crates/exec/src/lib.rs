@@ -25,12 +25,19 @@
 //!   [`RemoteWorker`] ships leased blocks to `eacp serve` endpoints over
 //!   std-only TCP (see the [`remote`] module).
 //!
-//! On top sits the **sharded sweep executor** ([`run_sweep`],
-//! [`merge_dir`]): a [`SweepSpec`] grid is partitioned across machines by
-//! grid-index range, each shard emits a [`GridReport`] JSON document, and
-//! the merge step reassembles the full grid — refusing to proceed on
-//! missing, duplicated or spec-mismatched points. [`render_csv`] turns a
-//! merged grid into the CSV matrix of the ROADMAP's renderer item.
+//! [`runner_for`] is the one place a spec's scheduling section becomes a
+//! runner (local threads, work queue, or remote fleet).
+//!
+//! On top sits **one sharded sweep pipeline** for both workloads
+//! ([`run_sweep_tiered`], [`merge_dir`], [`coverage_dir`]), generic over
+//! the grid kind: a [`SweepGrid`] ([`SweepSpec`] or
+//! [`eacp_spec::ExecutiveSweepSpec`]) expands into [`SweepPoint`]s
+//! ([`ExperimentSpec`] or [`eacp_spec::ExecutiveSpec`]). A grid is
+//! partitioned across machines by grid-index range, each shard emits a
+//! [`GridReport`] JSON document, and the merge step reassembles the full
+//! grid — refusing to proceed on missing, duplicated or spec-mismatched
+//! points. [`render_rows`] and [`render_executive_csv`] turn merged grids
+//! into CSV matrices.
 //!
 //! # Example
 //!
@@ -63,24 +70,22 @@ pub mod shard;
 pub mod workload;
 
 pub use analytic::serve_closed_form;
-pub use csv::{render_csv, render_rows, PaperRef, CSV_HEADER};
+pub use csv::{render_rows, PaperRef, CSV_HEADER};
 pub use executive::{run_executive, run_executive_observed};
 pub use executive_mc::{ExecutiveJob, ExecutiveReplicator, ExecutiveSummary, TaskAggregate};
 pub use executive_shard::{
-    executive_coverage_dir, merge_executive_dir, render_executive_csv, run_executive_point,
-    run_executive_sweep, ExecutiveGridReport, ExecutiveMcReport, ExecutivePointReport,
-    EXECUTIVE_CSV_HEADER,
+    render_executive_csv, run_executive_point, ExecutiveMcReport, EXECUTIVE_CSV_HEADER,
 };
 pub use job::{FaultFactory, Job, PolicyFactory, Replicator};
 pub use queue::{
-    run_sweep_queued, run_sweep_queued_tiered, BlockAssignment, InProcessWorker, Lease,
-    NoopQueueObserver, QueueObserver, QueueRunner, QueueStatus, WorkQueue, Worker,
+    run_sweep_queued_tiered, BlockAssignment, InProcessWorker, Lease, NoopQueueObserver,
+    QueueObserver, QueueRunner, QueueStatus, WorkQueue, Worker,
 };
 pub use remote::{serve_blocking, RemoteServer, RemoteWorker};
 pub use runner::{LocalRunner, Runner};
 pub use shard::{
-    coverage_dir, list_report_files, merge_dir, run_point, run_point_tiered, run_sweep,
-    run_sweep_tiered, run_sweep_with, DocCoverage, GridReport, PointReport, ShardId, SweepCoverage,
+    coverage_dir, list_report_files, merge_dir, run_grid, run_point_tiered, run_sweep_tiered,
+    DocCoverage, GridReport, PointReport, ShardId, SweepCoverage, SweepGrid, SweepPoint,
 };
 pub use workload::{run_workload_local, run_workload_queued, Replicate, Workload};
 
@@ -88,13 +93,13 @@ pub use workload::{run_workload_local, run_workload_queued, Replicate, Workload}
 // events); re-exported here so runner-level code needs one import path.
 pub use eacp_sim::{NoopObserver, Observer, Summary};
 
-use eacp_spec::{ExperimentSpec, RunReport, ServeTier, SpecError, SummaryReport};
+use eacp_spec::{ExperimentSpec, QueueSpec, RunReport, SpecError};
 
 /// Runs one experiment spec end to end, returning both the exact in-memory
 /// [`Summary`] (for bit-identical comparisons) and the serializable
 /// [`RunReport`].
 ///
-/// The spec's executor section picks the scheduler: with
+/// The spec's executor section picks the scheduler ([`runner_for`]): with
 /// [`eacp_spec::QueueSpec`] present the job runs on the work-queue
 /// [`QueueRunner`], otherwise on the plain [`LocalRunner`] with
 /// `mc.threads` workers. Both honor the canonical-reduction contract, so
@@ -113,42 +118,37 @@ pub fn run_tiered(
     spec: &ExperimentSpec,
     analytic: bool,
 ) -> Result<(Summary, RunReport), SpecError> {
-    let job = Job::from_spec(spec)?;
-    let (summary, served) = match analytic.then(|| serve_closed_form(&job)).flatten() {
-        Some(summary) => (summary, ServeTier::Analytic),
-        None => {
-            let summary = match &spec.executor.queue {
-                Some(q) => {
-                    q.validate()?;
-                    let runner = QueueRunner::new(q.workers).with_max_attempts(q.max_attempts);
-                    if q.endpoints.is_empty() {
-                        runner.run(&job)?
-                    } else {
-                        // Remote fleet: leased blocks ship to the spec's
-                        // endpoints; the lease deadline lets peers reclaim
-                        // a wedged transport, and the final attempt falls
-                        // back in-process — bit-identical either way.
-                        let worker = RemoteWorker::from_queue_spec(q);
-                        let lease_timeout = worker.lease_timeout();
-                        runner
-                            .with_worker(worker)
-                            .with_lease_timeout(lease_timeout)
-                            .run(&job)?
-                    }
-                }
-                None => LocalRunner::new(spec.mc.threads).run(&job)?,
-            };
-            (summary, ServeTier::Mc)
-        }
+    spec.compute(&*spec.runner()?, analytic)
+}
+
+/// Builds the runner a spec's scheduling section asks for — the one place
+/// that choice is made.
+///
+/// With no queue section the job runs on a [`LocalRunner`] with `threads`
+/// workers. A [`QueueSpec`] picks the work-queue [`QueueRunner`];
+/// with remote endpoints its leased blocks ship to `eacp serve` processes
+/// ([`RemoteWorker`]), the lease deadline lets peers reclaim a
+/// wedged transport, and the final attempt falls back in-process. Every
+/// choice honors the canonical-reduction contract, so it never changes a
+/// single bit of a result.
+///
+/// # Errors
+///
+/// An invalid queue section (see [`QueueSpec::validate`]).
+pub fn runner_for(queue: Option<&QueueSpec>, threads: usize) -> Result<Box<dyn Runner>, SpecError> {
+    let Some(q) = queue else {
+        return Ok(Box::new(LocalRunner::new(threads)));
     };
-    let report = RunReport {
-        spec: spec.clone(),
-        policy_name: job.policy_name().to_owned(),
-        summary: SummaryReport::from_summary(&summary),
-        served,
-        source: None,
-    };
-    Ok((summary, report))
+    q.validate()?;
+    let runner = QueueRunner::new(q.workers).with_max_attempts(q.max_attempts);
+    if q.endpoints.is_empty() {
+        return Ok(Box::new(runner));
+    }
+    let worker = RemoteWorker::from_queue_spec(q);
+    let lease_timeout = worker.lease_timeout();
+    Ok(Box::new(
+        runner.with_worker(worker).with_lease_timeout(lease_timeout),
+    ))
 }
 
 #[cfg(test)]

@@ -37,18 +37,19 @@
 //!   and completion, each with a [`QueueStatus`] snapshot (queue depth,
 //!   outstanding leases, completions, retries).
 //!
-//! Sweep-level scheduling sits on the same queue: [`run_sweep_queued`]
-//! leases whole grid points to the pool, producing a [`GridReport`]
-//! byte-identical to the sequential [`crate::run_sweep`].
+//! Sweep-level scheduling sits on the same queue:
+//! [`run_sweep_queued_tiered`] leases whole grid points of either sweep
+//! kind to the pool, producing a [`GridReport`] byte-identical to the
+//! sequential [`crate::run_sweep_tiered`].
 //!
 //! [`LocalRunner`]: crate::LocalRunner
 
 use crate::job::Job;
 use crate::runner::Runner;
 use crate::runner::{canonical_block_size, merge_blocks, run_block, run_sequential_observed};
-use crate::shard::{run_point_tiered, GridReport, PointReport, ShardId};
+use crate::shard::{GridReport, PointReport, ShardId, SweepGrid, SweepPoint};
 use eacp_sim::{NoopObserver, Observer, Summary};
-use eacp_spec::{SpecError, SweepSpec};
+use eacp_spec::SpecError;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
@@ -216,7 +217,7 @@ struct QueueState<T> {
 ///
 /// The queue itself is execution-agnostic: items are whatever a scheduler
 /// leases out — replication blocks for [`QueueRunner`], grid-point indices
-/// for [`run_sweep_queued`]. Blocking [`lease`](WorkQueue::lease) calls
+/// for [`run_sweep_queued_tiered`]. Blocking [`lease`](WorkQueue::lease) calls
 /// wake when work reappears (a failed lease re-queued) or when the queue
 /// drains or is poisoned.
 pub struct WorkQueue<T> {
@@ -765,46 +766,32 @@ pub(crate) fn resolve_workers(workers: usize) -> usize {
 /// Expands a sweep and drains the selected shard's grid points through a
 /// work-queue worker pool (`workers = 0` for available parallelism),
 /// producing a report byte-identical to the sequential
-/// [`crate::run_sweep`].
+/// [`crate::run_sweep_tiered`]; `analytic = false` (the CLI's
+/// `--no-analytic`) disables the closed-form serve tier.
 ///
 /// Each leased point runs on a single-threaded [`crate::LocalRunner`];
 /// thread-count invariance of the canonical reduction makes the per-point
 /// reports — and therefore the assembled [`GridReport`] — independent of
 /// the pool size, the lease schedule and any retries.
-pub fn run_sweep_queued(
-    sweep: &SweepSpec,
-    shard: Option<ShardId>,
-    workers: usize,
-    max_attempts: u32,
-    obs: &dyn QueueObserver,
-) -> Result<GridReport, SpecError> {
-    run_sweep_queued_tiered(sweep, shard, workers, max_attempts, obs, true)
-}
-
-/// [`run_sweep_queued`] with the closed-form serve tier explicitly enabled
-/// or disabled (`analytic = false` is the CLI's `--no-analytic`).
-pub fn run_sweep_queued_tiered(
-    sweep: &SweepSpec,
+pub fn run_sweep_queued_tiered<G: SweepGrid>(
+    sweep: &G,
     shard: Option<ShardId>,
     workers: usize,
     max_attempts: u32,
     obs: &dyn QueueObserver,
     analytic: bool,
-) -> Result<GridReport, SpecError> {
-    let specs = sweep.expand()?;
+) -> Result<GridReport<G>, SpecError> {
+    let specs = sweep.points()?;
     let total = specs.len();
-    let range = match shard {
-        Some(s) => s.range(total),
-        None => 0..total,
-    };
-    let indices: Vec<usize> = range.collect();
+    let indices: Vec<usize> = ShardId::range_of(shard, total).collect();
     let queue = WorkQueue::new(indices).with_max_attempts(max_attempts);
     let runner = crate::LocalRunner::new(1);
     let points = queue.drain(resolve_workers(workers), obs, |_worker, lease| {
         let index = *lease.item();
         let spec = &specs[index];
-        let report = run_point_tiered(&runner, spec, analytic)
-            .map_err(|e| SpecError::invalid(format!("grid point {index} ({}): {e}", spec.name)))?;
+        let (_, report) = spec.compute(&runner, analytic).map_err(|e| {
+            SpecError::invalid(format!("grid point {index} ({}): {e}", spec.name()))
+        })?;
         Ok(PointReport { index, report })
     })?;
     Ok(GridReport {
@@ -820,7 +807,7 @@ pub fn run_sweep_queued_tiered(
 mod tests {
     use super::*;
     use crate::runner::LocalRunner;
-    use eacp_spec::{ExperimentSpec, McSpec, SweepAxis, ToJson};
+    use eacp_spec::{ExperimentSpec, McSpec, SweepAxis, SweepSpec, ToJson};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex as StdMutex;
 
@@ -1142,16 +1129,20 @@ mod tests {
                 SweepAxis::K(vec![1, 5]),
             ],
         };
-        let sequential = crate::run_sweep(&sweep, None, 1).unwrap();
+        let sequential = crate::run_sweep_tiered(&sweep, None, &LocalRunner::new(1), true).unwrap();
         for workers in [1usize, 3] {
-            let queued = run_sweep_queued(&sweep, None, workers, 3, &NoopQueueObserver).unwrap();
+            let queued =
+                run_sweep_queued_tiered(&sweep, None, workers, 3, &NoopQueueObserver, true)
+                    .unwrap();
             assert_eq!(queued, sequential, "workers = {workers}");
             assert_eq!(queued.to_json().pretty(), sequential.to_json().pretty());
         }
         // Sharded queued runs cover exactly the shard's range.
         let shard = ShardId::new(1, 3).unwrap();
-        let queued = run_sweep_queued(&sweep, Some(shard), 2, 3, &NoopQueueObserver).unwrap();
-        let sequential = crate::run_sweep(&sweep, Some(shard), 1).unwrap();
+        let queued =
+            run_sweep_queued_tiered(&sweep, Some(shard), 2, 3, &NoopQueueObserver, true).unwrap();
+        let sequential =
+            crate::run_sweep_tiered(&sweep, Some(shard), &LocalRunner::new(1), true).unwrap();
         assert_eq!(queued, sequential);
     }
 }

@@ -1,10 +1,16 @@
-//! The sharded sweep executor: partition a [`SweepSpec`] grid across
-//! machines by index range, emit per-shard report documents, and
-//! reassemble the full grid — failing loudly on anything suspicious.
+//! The sharded sweep executor: partition a grid across machines by index
+//! range, emit per-shard report documents, and reassemble the full grid —
+//! failing loudly on anything suspicious.
 //!
-//! `SweepSpec::expand()` derives a deterministic per-point seed from the
-//! grid index, so a grid point produces the same [`RunReport`] no matter
-//! which shard (or machine) ran it. The workflow:
+//! The pipeline is written once, generic over the grid kind: a
+//! [`SweepGrid`] document ([`SweepSpec`] for single-task experiments,
+//! [`eacp_spec::ExecutiveSweepSpec`] for periodic task sets) expands into
+//! [`SweepPoint`]s, and [`run_sweep_tiered`], [`GridReport`],
+//! [`merge_dir`] and [`coverage_dir`] serve both kinds.
+//!
+//! Expansion derives a deterministic per-point seed from the grid index,
+//! so a grid point produces the same report no matter which shard (or
+//! machine) ran it. The workflow:
 //!
 //! ```text
 //! eacp sweep --spec grid.json --shard 0/3 --out reports/   # machine 0
@@ -20,11 +26,122 @@
 //! point's embedded spec does not match the sweep it claims to belong to.
 
 use crate::job::Job;
-use crate::runner::{LocalRunner, Runner};
+use crate::runner::Runner;
+use eacp_sim::Summary;
 use eacp_spec::{
-    ExperimentSpec, FromJson, Json, RunReport, SpecError, SummaryReport, SweepSpec, ToJson,
+    ExperimentSpec, FromJson, Json, RunReport, ServeTier, SpecError, SummaryReport, SweepSpec,
+    ToJson,
 };
 use std::path::{Path, PathBuf};
+
+/// A grid-point kind the sweep pipeline runs: the point's spec type, its
+/// serializable run report and its exact in-memory aggregate.
+///
+/// Implemented for [`ExperimentSpec`] here and for
+/// [`eacp_spec::ExecutiveSpec`] in [`crate::executive_shard`]; every
+/// sweep, merge, coverage and store function is written once over it.
+pub trait SweepPoint: Clone + PartialEq + std::fmt::Debug + ToJson + Send + Sync {
+    /// The per-point report (spec embedded for provenance).
+    type Report: Clone + PartialEq + std::fmt::Debug + ToJson + FromJson + Send;
+    /// The exact, mergeable aggregate a run produces.
+    type Acc: Clone + std::fmt::Debug;
+
+    /// The point's experiment name.
+    fn name(&self) -> &str;
+
+    /// The runner the spec's own scheduling section asks for (see
+    /// [`crate::runner_for`]).
+    fn runner(&self) -> Result<Box<dyn Runner>, SpecError>;
+
+    /// Runs the point on `runner`. `analytic` enables the closed-form
+    /// serve tier where the kind has one.
+    fn compute(
+        &self,
+        runner: &dyn Runner,
+        analytic: bool,
+    ) -> Result<(Self::Acc, Self::Report), SpecError>;
+
+    /// The spec a report embeds.
+    fn report_spec(report: &Self::Report) -> &Self;
+
+    /// Where a report was read from — a store entry or a report document
+    /// (never serialized).
+    fn report_source(report: &mut Self::Report) -> &mut Option<PathBuf>;
+}
+
+/// A grid document that expands into [`SweepPoint`]s: [`SweepSpec`], or
+/// [`eacp_spec::ExecutiveSweepSpec`].
+pub trait SweepGrid: Clone + PartialEq + std::fmt::Debug + ToJson + FromJson + Sync {
+    /// The point kind the grid expands into.
+    type Point: SweepPoint;
+
+    /// What this grid's report documents are called in error messages.
+    const DOCUMENT: &'static str;
+
+    /// Expands the grid in flat-index order; each point's seed derives
+    /// from its index.
+    fn points(&self) -> Result<Vec<Self::Point>, SpecError>;
+
+    /// The base experiment name.
+    fn name(&self) -> &str;
+}
+
+/// The single-task point: replication-invariant cells are answered by the
+/// closed-form tier ([`crate::serve_closed_form`]) and marked
+/// `served: analytic`; everything else runs on the runner.
+impl SweepPoint for ExperimentSpec {
+    type Report = RunReport;
+    type Acc = Summary;
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn runner(&self) -> Result<Box<dyn Runner>, SpecError> {
+        crate::runner_for(self.executor.queue.as_ref(), self.mc.threads)
+    }
+
+    fn compute(
+        &self,
+        runner: &dyn Runner,
+        analytic: bool,
+    ) -> Result<(Summary, RunReport), SpecError> {
+        let job = Job::from_spec(self)?;
+        let (summary, served) = match analytic.then(|| crate::serve_closed_form(&job)).flatten() {
+            Some(summary) => (summary, ServeTier::Analytic),
+            None => (runner.run(&job)?, ServeTier::Mc),
+        };
+        let report = RunReport {
+            spec: self.clone(),
+            policy_name: job.policy_name().to_owned(),
+            summary: SummaryReport::from_summary(&summary),
+            served,
+            source: None,
+        };
+        Ok((summary, report))
+    }
+
+    fn report_spec(report: &RunReport) -> &Self {
+        &report.spec
+    }
+
+    fn report_source(report: &mut RunReport) -> &mut Option<PathBuf> {
+        &mut report.source
+    }
+}
+
+impl SweepGrid for SweepSpec {
+    type Point = ExperimentSpec;
+    const DOCUMENT: &'static str = "sweep report";
+
+    fn points(&self) -> Result<Vec<ExperimentSpec>, SpecError> {
+        self.expand()
+    }
+
+    fn name(&self) -> &str {
+        &self.base.name
+    }
+}
 
 /// One shard of a sweep: `index` of `count`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,6 +207,11 @@ impl ShardId {
         lo..hi
     }
 
+    /// The range of an optional shard (`None` = the whole grid).
+    pub fn range_of(shard: Option<Self>, total: usize) -> std::ops::Range<usize> {
+        shard.map_or(0..total, |s| s.range(total))
+    }
+
     pub(crate) fn to_json(self) -> Json {
         Json::obj([("index", self.index.into()), ("count", self.count.into())])
     }
@@ -107,24 +229,24 @@ impl std::fmt::Display for ShardId {
 
 /// One grid point's result, tagged with its flat grid index.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PointReport {
-    /// Flat index into `SweepSpec::expand()` order.
+pub struct PointReport<P: SweepPoint = ExperimentSpec> {
+    /// Flat index into the grid's expansion order.
     pub index: usize,
-    /// The point's full run report (spec embedded for provenance).
-    pub report: RunReport,
+    /// The point's full report (spec embedded for provenance).
+    pub report: P::Report,
 }
 
 /// A sweep result document: the whole grid, or one shard of it.
 #[derive(Debug, Clone)]
-pub struct GridReport {
+pub struct GridReport<G: SweepGrid = SweepSpec> {
     /// The sweep that produced (or will reproduce) these points.
-    pub sweep: SweepSpec,
+    pub sweep: G,
     /// Total grid points in the full sweep (not just this document).
     pub total_points: usize,
     /// Which shard this document covers (`None` = the full grid).
     pub shard: Option<ShardId>,
     /// Covered points, ascending by grid index.
-    pub points: Vec<PointReport>,
+    pub points: Vec<PointReport<G::Point>>,
     /// Where this document was loaded from (`None` for freshly computed
     /// grids). Never serialized — diagnostics provenance only, so merge
     /// failures can name the artifact a bad point came from.
@@ -133,7 +255,7 @@ pub struct GridReport {
 
 // Like `RunReport`: provenance is where the document came from, not part
 // of the result, so a loaded shard compares equal to its recomputation.
-impl PartialEq for GridReport {
+impl<G: SweepGrid> PartialEq for GridReport<G> {
     fn eq(&self, other: &Self) -> bool {
         self.sweep == other.sweep
             && self.total_points == other.total_points
@@ -142,7 +264,7 @@ impl PartialEq for GridReport {
     }
 }
 
-impl GridReport {
+impl<G: SweepGrid> GridReport<G> {
     /// The canonical file name: `grid.json` for a full grid,
     /// `shard-I-of-N.json` for one shard.
     pub fn file_name(&self) -> String {
@@ -168,9 +290,9 @@ impl GridReport {
     /// # Errors
     ///
     /// Every failure — unreadable file, malformed/truncated JSON, a
-    /// document that is not a sweep report — carries the offending file
-    /// path, so a corrupt shard in a big collection directory is
-    /// identifiable without bisecting.
+    /// document that is not a sweep report of this kind — carries the
+    /// offending file path, so a corrupt shard in a big collection
+    /// directory is identifiable without bisecting.
     pub fn load(path: &Path) -> Result<Self, SpecError> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| SpecError::Io(format!("{}: {e}", path.display())))?;
@@ -178,19 +300,20 @@ impl GridReport {
             .map_err(|e| SpecError::invalid(format!("{}: {e}", path.display())))?;
         let mut doc = Self::from_json(&json).map_err(|e| {
             SpecError::invalid(format!(
-                "{}: invalid sweep report document: {e}",
-                path.display()
+                "{}: invalid {} document: {e}",
+                path.display(),
+                G::DOCUMENT
             ))
         })?;
         doc.source = Some(path.to_path_buf());
         for point in &mut doc.points {
-            point.report.source = Some(path.to_path_buf());
+            *G::Point::report_source(&mut point.report) = Some(path.to_path_buf());
         }
         Ok(doc)
     }
 }
 
-impl ToJson for GridReport {
+impl<G: SweepGrid> ToJson for GridReport<G> {
     fn to_json(&self) -> Json {
         let mut fields: Vec<(&'static str, Json)> = vec![
             ("sweep", self.sweep.to_json()),
@@ -212,7 +335,7 @@ impl ToJson for GridReport {
     }
 }
 
-impl FromJson for GridReport {
+impl<G: SweepGrid> FromJson for GridReport<G> {
     fn from_json(json: &Json) -> Result<Self, SpecError> {
         let shard = match json.get("shard") {
             None | Some(Json::Null) => None,
@@ -222,11 +345,11 @@ impl FromJson for GridReport {
         for item in json.req("points")?.as_array()? {
             points.push(PointReport {
                 index: item.req("index")?.as_usize()?,
-                report: RunReport::from_json(item.req("report")?)?,
+                report: FromJson::from_json(item.req("report")?)?,
             });
         }
         Ok(Self {
-            sweep: SweepSpec::from_json(json.req("sweep")?)?,
+            sweep: G::from_json(json.req("sweep")?)?,
             total_points: json.req("total_points")?.as_usize()?,
             shard,
             points,
@@ -235,57 +358,27 @@ impl FromJson for GridReport {
     }
 }
 
-/// Expands a sweep and runs the selected shard (or, with `shard = None`,
-/// the whole grid), producing the shard's report document.
+/// Expands a sweep and computes the selected shard (or, with
+/// `shard = None`, the whole grid) one point at a time through `point`,
+/// producing the shard's report document.
 ///
-/// Each grid point runs through the [`Job`]/[`LocalRunner`] path with its
-/// own expansion-derived seed, so a point's report does not depend on
-/// which shard executed it.
-pub fn run_sweep(
-    sweep: &SweepSpec,
+/// Each grid point carries its own expansion-derived seed, so a point's
+/// report does not depend on which shard — or which runner — produced it.
+/// Per-point failures are wrapped with the grid index and point name.
+pub fn run_grid<G: SweepGrid>(
+    sweep: &G,
     shard: Option<ShardId>,
-    threads: usize,
-) -> Result<GridReport, SpecError> {
-    run_sweep_tiered(sweep, shard, &LocalRunner::new(threads), true)
-}
-
-/// [`run_sweep`] on an explicit [`Runner`] — the seam the queued sweep
-/// path and future remote runners share with the local one.
-///
-/// Any runner honoring the determinism contract (summaries are a pure
-/// function of the job) produces the same report document here.
-pub fn run_sweep_with(
-    sweep: &SweepSpec,
-    shard: Option<ShardId>,
-    runner: &dyn Runner,
-) -> Result<GridReport, SpecError> {
-    run_sweep_tiered(sweep, shard, runner, true)
-}
-
-/// [`run_sweep_with`] with the closed-form serve tier explicitly enabled
-/// or disabled (`analytic = false` is the CLI's `--no-analytic`).
-///
-/// Replication-invariant grid points — `λ = 0` corners of a fault-rate
-/// axis, deterministic-schedule cells — are answered analytically and
-/// marked `served: analytic` in their point reports; everything else runs
-/// on `runner` as before.
-pub fn run_sweep_tiered(
-    sweep: &SweepSpec,
-    shard: Option<ShardId>,
-    runner: &dyn Runner,
-    analytic: bool,
-) -> Result<GridReport, SpecError> {
-    let specs = sweep.expand()?;
+    mut point: impl FnMut(&G::Point) -> Result<<G::Point as SweepPoint>::Report, SpecError>,
+) -> Result<GridReport<G>, SpecError> {
+    let specs = sweep.points()?;
     let total = specs.len();
-    let range = match shard {
-        Some(s) => s.range(total),
-        None => 0..total,
-    };
+    let range = ShardId::range_of(shard, total);
     let mut points = Vec::with_capacity(range.len());
     for index in range {
         let spec = &specs[index];
-        let report = run_point_tiered(runner, spec, analytic)
-            .map_err(|e| SpecError::invalid(format!("grid point {index} ({}): {e}", spec.name)))?;
+        let report = point(spec).map_err(|e| {
+            SpecError::invalid(format!("grid point {index} ({}): {e}", spec.name()))
+        })?;
         points.push(PointReport { index, report });
     }
     Ok(GridReport {
@@ -297,32 +390,34 @@ pub fn run_sweep_tiered(
     })
 }
 
-/// Runs one grid point's spec on a [`Runner`], wrapping the summary as a
-/// [`RunReport`] — the single-point unit of work shared by the sweep
-/// executors and the result store's cache-or-compute path.
-pub fn run_point(runner: &dyn Runner, spec: &ExperimentSpec) -> Result<RunReport, SpecError> {
-    run_point_tiered(runner, spec, true)
+/// [`run_grid`] with every point computed on `runner`; `analytic = false`
+/// (the CLI's `--no-analytic`) disables the closed-form serve tier.
+///
+/// Replication-invariant single-task points — `λ = 0` corners of a
+/// fault-rate axis, deterministic-schedule cells — are answered
+/// analytically and marked `served: analytic` in their point reports.
+/// Any runner honoring the determinism contract (summaries are a pure
+/// function of the job) produces the same report document here.
+pub fn run_sweep_tiered<G: SweepGrid>(
+    sweep: &G,
+    shard: Option<ShardId>,
+    runner: &dyn Runner,
+    analytic: bool,
+) -> Result<GridReport<G>, SpecError> {
+    run_grid(sweep, shard, |spec| {
+        spec.compute(runner, analytic).map(|(_, report)| report)
+    })
 }
 
-/// [`run_point`] with the closed-form serve tier explicitly enabled or
-/// disabled.
+/// Runs one single-task spec on a [`Runner`], wrapping the summary as a
+/// [`RunReport`] — the per-cell unit of work the sweep executors loop
+/// over. `analytic` enables the closed-form serve tier.
 pub fn run_point_tiered(
     runner: &dyn Runner,
     spec: &ExperimentSpec,
     analytic: bool,
 ) -> Result<RunReport, SpecError> {
-    let job = Job::from_spec(spec)?;
-    let (summary, served) = match analytic.then(|| crate::serve_closed_form(&job)).flatten() {
-        Some(summary) => (summary, eacp_spec::ServeTier::Analytic),
-        None => (runner.run(&job)?, eacp_spec::ServeTier::Mc),
-    };
-    Ok(RunReport {
-        spec: spec.clone(),
-        policy_name: job.policy_name().to_owned(),
-        summary: SummaryReport::from_summary(&summary),
-        served,
-        source: None,
-    })
+    spec.compute(runner, analytic).map(|(_, report)| report)
 }
 
 /// Lists the `.json` report documents in `dir`, sorted by path — the one
@@ -353,17 +448,17 @@ pub fn list_report_files(dir: &Path) -> Result<Vec<PathBuf>, SpecError> {
 /// * a grid point is covered twice (duplicated shard), is missing
 ///   (withheld shard), or embeds a spec that does not match the sweep's
 ///   expansion at its index (tampered or foreign report).
-pub fn merge_dir(dir: &Path) -> Result<GridReport, SpecError> {
+pub fn merge_dir<G: SweepGrid>(dir: &Path) -> Result<GridReport<G>, SpecError> {
     let SweepDocs {
         docs,
         total,
         expected,
         ..
-    } = load_sweep_docs(dir)?;
+    } = load_sweep_docs::<G>(dir)?;
     let sweep = docs[0].1.sweep.clone();
 
     // Point coverage: exactly once each, spec-faithful.
-    let mut slots: Vec<Option<PointReport>> = vec![None; total];
+    let mut slots: Vec<Option<PointReport<G::Point>>> = vec![None; total];
     for (path, doc) in &docs {
         for point in &doc.points {
             if point.index >= total {
@@ -380,14 +475,15 @@ pub fn merge_dir(dir: &Path) -> Result<GridReport, SpecError> {
                     point.index
                 )));
             }
-            if point.report.spec != expected[point.index] {
+            let spec = G::Point::report_spec(&point.report);
+            if *spec != expected[point.index] {
                 return Err(SpecError::invalid(format!(
                     "{}: grid point {}'s embedded spec does not match the \
                      sweep expansion (expected {:?}, found {:?})",
                     path.display(),
                     point.index,
-                    expected[point.index].name,
-                    point.report.spec.name
+                    expected[point.index].name(),
+                    spec.name()
                 )));
             }
             slots[point.index] = Some(point.clone());
@@ -420,13 +516,13 @@ pub fn merge_dir(dir: &Path) -> Result<GridReport, SpecError> {
 }
 
 /// A directory of report documents proven to belong to one sweep.
-struct SweepDocs {
+struct SweepDocs<G: SweepGrid> {
     /// `(path, document)` pairs in path order.
-    docs: Vec<(PathBuf, GridReport)>,
+    docs: Vec<(PathBuf, GridReport<G>)>,
     /// The validated total point count (equals `expected.len()`).
     total: usize,
     /// The sweep's expansion, for per-point spec checks.
-    expected: Vec<ExperimentSpec>,
+    expected: Vec<G::Point>,
     /// Shard count declared by the shard documents, when any declare one.
     shard_count: Option<u64>,
 }
@@ -442,7 +538,7 @@ struct SweepDocs {
 /// iteration bound — a corrupt or tampered `total_points` must surface as
 /// a [`SpecError`] naming the file, not as a capacity-overflow panic or a
 /// multi-terabyte allocation.
-fn load_sweep_docs(dir: &Path) -> Result<SweepDocs, SpecError> {
+fn load_sweep_docs<G: SweepGrid>(dir: &Path) -> Result<SweepDocs<G>, SpecError> {
     let paths = list_report_files(dir)?;
     if paths.is_empty() {
         return Err(SpecError::invalid(format!(
@@ -453,7 +549,7 @@ fn load_sweep_docs(dir: &Path) -> Result<SweepDocs, SpecError> {
 
     let mut docs = Vec::with_capacity(paths.len());
     for path in paths {
-        let doc = GridReport::load(&path)?;
+        let doc = GridReport::<G>::load(&path)?;
         docs.push((path, doc));
     }
 
@@ -493,7 +589,7 @@ fn load_sweep_docs(dir: &Path) -> Result<SweepDocs, SpecError> {
         }
     }
 
-    let expected = first.sweep.expand()?;
+    let expected = first.sweep.points()?;
     if expected.len() != total {
         return Err(SpecError::invalid(format!(
             "{}: declares {total} total points but its embedded sweep \
@@ -564,7 +660,7 @@ impl SweepCoverage {
 /// Unreadable or malformed documents, and documents from *different*
 /// sweeps mixed into one directory, are still loud [`SpecError`]s naming
 /// the offending file — only incomplete/duplicated coverage is tolerated.
-pub fn coverage_dir(dir: &Path) -> Result<SweepCoverage, SpecError> {
+pub fn coverage_dir<G: SweepGrid>(dir: &Path) -> Result<SweepCoverage, SpecError> {
     // Same loading and consistency rules as `merge_dir` — including the
     // total_points-vs-expansion guard, so a lying document cannot make
     // the status pass iterate a fantasy-sized grid.
@@ -573,8 +669,8 @@ pub fn coverage_dir(dir: &Path) -> Result<SweepCoverage, SpecError> {
         total,
         shard_count,
         ..
-    } = load_sweep_docs(dir)?;
-    let sweep_name = docs[0].1.sweep.base.name.clone();
+    } = load_sweep_docs::<G>(dir)?;
+    let sweep_name = docs[0].1.sweep.name().to_owned();
 
     let mut hits: std::collections::BTreeMap<usize, usize> = Default::default();
     let docs: Vec<DocCoverage> = docs
@@ -608,9 +704,54 @@ pub fn coverage_dir(dir: &Path) -> Result<SweepCoverage, SpecError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::runner::LocalRunner;
     use eacp_spec::{McSpec, SweepAxis};
+
+    /// Runs one shard (`None` = the whole grid) on one thread.
+    pub(crate) fn run<G: SweepGrid>(sweep: &G, shard: Option<ShardId>) -> GridReport<G> {
+        run_sweep_tiered(sweep, shard, &LocalRunner::new(1), true).unwrap()
+    }
+
+    pub(crate) fn shard(index: u64, count: u64) -> Option<ShardId> {
+        Some(ShardId::new(index, count).unwrap())
+    }
+
+    /// Three shards of a 4-point grid reassemble its points exactly.
+    pub(crate) fn assert_shards_tile<G: SweepGrid>(sweep: &G) {
+        let full = run(sweep, None);
+        assert_eq!(full.points.len(), 4);
+        let mut collected: Vec<_> = (0..3)
+            .flat_map(|i| run(sweep, shard(i, 3)).points)
+            .collect();
+        collected.sort_by_key(|p| p.index);
+        assert_eq!(collected, full.points);
+    }
+
+    /// Saves three shards into `dir` and merges them back: the merged grid
+    /// equals the unsharded one, byte for byte.
+    pub(crate) fn assert_merge_reassembles<G: SweepGrid>(sweep: &G, dir: &Path) {
+        let full = run(sweep, None);
+        for i in 0..3 {
+            run(sweep, shard(i, 3)).save(dir).unwrap();
+        }
+        let merged = merge_dir(dir).unwrap();
+        assert_eq!(merged, full, "merged grid must equal the unsharded grid");
+        assert_eq!(merged.to_json().pretty(), full.to_json().pretty());
+    }
+
+    /// A shard document re-parses to an equal, byte-identical document.
+    pub(crate) fn assert_json_round_trip<G: SweepGrid>(sweep: &G) {
+        let shard = run(sweep, shard(1, 2));
+        let text = shard.to_json().pretty();
+        let back = GridReport::<G>::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back.shard, shard.shard);
+        assert_eq!(back.total_points, shard.total_points);
+        assert_eq!(back.points.len(), shard.points.len());
+        assert_eq!(back, shard);
+        assert_eq!(back.to_json().pretty(), text);
+    }
 
     fn small_sweep() -> SweepSpec {
         let mut base = ExperimentSpec::paper_nominal();
@@ -679,16 +820,7 @@ mod tests {
 
     #[test]
     fn sharded_points_equal_unsharded_points() {
-        let sweep = small_sweep();
-        let full = run_sweep(&sweep, None, 1).unwrap();
-        assert_eq!(full.points.len(), 4);
-        let mut collected = Vec::new();
-        for i in 0..3 {
-            let shard = run_sweep(&sweep, Some(ShardId::new(i, 3).unwrap()), 1).unwrap();
-            collected.extend(shard.points);
-        }
-        collected.sort_by_key(|p| p.index);
-        assert_eq!(collected, full.points);
+        assert_shards_tile(&small_sweep());
     }
 
     #[test]
@@ -698,16 +830,7 @@ mod tests {
         let sharded = base.join("sharded");
         let _ = std::fs::remove_dir_all(&base);
 
-        let full = run_sweep(&sweep, None, 1).unwrap();
-        for i in 0..3 {
-            run_sweep(&sweep, Some(ShardId::new(i, 3).unwrap()), 1)
-                .unwrap()
-                .save(&sharded)
-                .unwrap();
-        }
-        let merged = merge_dir(&sharded).unwrap();
-        assert_eq!(merged, full, "merged grid must equal the unsharded grid");
-        assert_eq!(merged.to_json().pretty(), full.to_json().pretty());
+        assert_merge_reassembles(&sweep, &sharded);
 
         // Withheld shard → loud failure.
         let withheld = base.join("withheld");
@@ -715,7 +838,7 @@ mod tests {
         for name in ["shard-0-of-3.json", "shard-2-of-3.json"] {
             std::fs::copy(sharded.join(name), withheld.join(name)).unwrap();
         }
-        let err = merge_dir(&withheld).unwrap_err();
+        let err = merge_dir::<SweepSpec>(&withheld).unwrap_err();
         assert!(err.to_string().contains("missing"), "{err}");
 
         // Duplicated shard → loud failure.
@@ -733,7 +856,7 @@ mod tests {
             duplicated.join("shard-0-of-3-copy.json"),
         )
         .unwrap();
-        let err = merge_dir(&duplicated).unwrap_err();
+        let err = merge_dir::<SweepSpec>(&duplicated).unwrap_err();
         assert!(err.to_string().contains("covered twice"), "{err}");
 
         // Spec-mismatched shard → loud failure.
@@ -744,11 +867,8 @@ mod tests {
         }
         let mut other = small_sweep();
         other.base.mc.seed = 999;
-        run_sweep(&other, Some(ShardId::new(2, 3).unwrap()), 1)
-            .unwrap()
-            .save(&mismatched)
-            .unwrap();
-        let err = merge_dir(&mismatched).unwrap_err();
+        run(&other, shard(2, 3)).save(&mismatched).unwrap();
+        let err = merge_dir::<SweepSpec>(&mismatched).unwrap_err();
         assert!(err.to_string().contains("sweep spec differs"), "{err}");
 
         std::fs::remove_dir_all(&base).unwrap();
@@ -756,13 +876,7 @@ mod tests {
 
     #[test]
     fn grid_report_round_trips_through_json() {
-        let sweep = small_sweep();
-        let shard = run_sweep(&sweep, Some(ShardId::new(1, 2).unwrap()), 1).unwrap();
-        let back = GridReport::from_json(&Json::parse(&shard.to_json().pretty()).unwrap()).unwrap();
-        assert_eq!(back.shard, shard.shard);
-        assert_eq!(back.total_points, shard.total_points);
-        assert_eq!(back.points.len(), shard.points.len());
-        assert_eq!(back.to_json().pretty(), shard.to_json().pretty());
+        assert_json_round_trip(&small_sweep());
     }
 
     #[test]
@@ -773,34 +887,28 @@ mod tests {
 
         // Truncated JSON.
         let truncated = base.join("truncated");
-        let path = run_sweep(&sweep, Some(ShardId::new(0, 2).unwrap()), 1)
-            .unwrap()
-            .save(&truncated)
-            .unwrap();
+        let path = run(&sweep, shard(0, 2)).save(&truncated).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &text[..text.len() / 2]).unwrap();
-        let err = merge_dir(&truncated).unwrap_err();
+        let err = merge_dir::<SweepSpec>(&truncated).unwrap_err();
         assert!(matches!(err, SpecError::Invalid(_)), "{err}");
         assert!(err.to_string().contains("shard-0-of-2.json"), "{err}");
 
         // A total_points that does not match the embedded sweep must be a
         // SpecError, never an allocation-size panic.
         let lying = base.join("lying");
-        let path = run_sweep(&sweep, Some(ShardId::new(0, 2).unwrap()), 1)
-            .unwrap()
-            .save(&lying)
-            .unwrap();
+        let path = run(&sweep, shard(0, 2)).save(&lying).unwrap();
         let text = std::fs::read_to_string(&path).unwrap().replace(
             "\"total_points\": 4",
             "\"total_points\": 1152921504606846976",
         );
         std::fs::write(&path, text).unwrap();
-        let err = merge_dir(&lying).unwrap_err();
+        let err = merge_dir::<SweepSpec>(&lying).unwrap_err();
         assert!(err.to_string().contains("expands to 4"), "{err}");
         assert!(err.to_string().contains("shard-0-of-2.json"), "{err}");
         // coverage_dir shares the guard: the lie must not become the
         // status pass's iteration bound.
-        let err = coverage_dir(&lying).unwrap_err();
+        let err = coverage_dir::<SweepSpec>(&lying).unwrap_err();
         assert!(err.to_string().contains("expands to 4"), "{err}");
 
         // Structurally-wrong field types also name the file.
@@ -811,7 +919,7 @@ mod tests {
             r#"{"sweep": 3, "points": "x"}"#,
         )
         .unwrap();
-        let err = merge_dir(&wrong).unwrap_err();
+        let err = merge_dir::<SweepSpec>(&wrong).unwrap_err();
         assert!(err.to_string().contains("shard-bad.json"), "{err}");
 
         std::fs::remove_dir_all(&base).unwrap();
@@ -826,21 +934,15 @@ mod tests {
 
         // Shards 0 and 2 of 3 present, shard 0 duplicated under a second
         // file name; shard 1 still owed.
-        run_sweep(&sweep, Some(ShardId::new(0, 3).unwrap()), 1)
-            .unwrap()
-            .save(&dir)
-            .unwrap();
-        run_sweep(&sweep, Some(ShardId::new(2, 3).unwrap()), 1)
-            .unwrap()
-            .save(&dir)
-            .unwrap();
+        run(&sweep, shard(0, 3)).save(&dir).unwrap();
+        run(&sweep, shard(2, 3)).save(&dir).unwrap();
         std::fs::copy(
             dir.join("shard-0-of-3.json"),
             dir.join("shard-0-of-3-copy.json"),
         )
         .unwrap();
 
-        let cov = coverage_dir(&dir).unwrap();
+        let cov = coverage_dir::<SweepSpec>(&dir).unwrap();
         assert_eq!(cov.sweep_name, "grid");
         assert_eq!(cov.total_points, 4);
         assert_eq!(cov.shard_count, Some(3));
@@ -854,11 +956,8 @@ mod tests {
 
         // Completing the set clears both lists.
         std::fs::remove_file(dir.join("shard-0-of-3-copy.json")).unwrap();
-        run_sweep(&sweep, Some(ShardId::new(1, 3).unwrap()), 1)
-            .unwrap()
-            .save(&dir)
-            .unwrap();
-        let cov = coverage_dir(&dir).unwrap();
+        run(&sweep, shard(1, 3)).save(&dir).unwrap();
+        let cov = coverage_dir::<SweepSpec>(&dir).unwrap();
         assert!(cov.complete(), "{cov:?}");
         assert_eq!(cov.covered(), 4);
 
@@ -869,7 +968,7 @@ mod tests {
     fn empty_dir_is_an_error() {
         let dir = std::env::temp_dir().join(format!("eacp-exec-empty-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        assert!(merge_dir(&dir).is_err());
+        assert!(merge_dir::<SweepSpec>(&dir).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

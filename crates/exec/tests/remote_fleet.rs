@@ -170,13 +170,13 @@ fn remote_sweep_matches_sequential_sweep() {
             SweepAxis::K(vec![1, 5]),
         ],
     };
-    let sequential = eacp_exec::run_sweep(&sweep, None, 1).unwrap();
+    let sequential = eacp_exec::run_sweep_tiered(&sweep, None, &LocalRunner::new(1), true).unwrap();
     let runner = fleet_runner(
         vec![s1.endpoint().to_owned(), s2.endpoint().to_owned()],
         4,
         5_000,
         3,
     );
-    let remote = eacp_exec::run_sweep_with(&sweep, None, &runner).unwrap();
+    let remote = eacp_exec::run_sweep_tiered(&sweep, None, &runner, true).unwrap();
     assert_eq!(remote, sequential, "grid bytes are location-independent");
 }

@@ -17,12 +17,13 @@
 //!
 //! Entry points:
 //!
-//! * [`run_cached`] — cache-or-compute for one Monte-Carlo experiment
-//!   (`eacp mc`);
+//! * [`run_cached_tiered`] — cache-or-compute for one Monte-Carlo point of
+//!   either kind (`eacp mc`, `eacp executive --mc`), generic over
+//!   [`StorePoint`];
 //! * [`run_cached_single`] — the same for one raw-seed execution
 //!   (`eacp run`), keyed with the `replications == 0` sentinel;
-//! * [`run_sweep_cached`] — a resumable sweep: only uncovered grid cells
-//!   are scheduled onto the runner;
+//! * [`run_sweep_cached_tiered`] — a resumable sweep of either grid kind:
+//!   only uncovered grid cells are scheduled onto the runner;
 //! * [`verify_store`] / [`verify_cell`] — recompute stored cells and fail
 //!   on any byte mismatch.
 
@@ -43,13 +44,10 @@ pub use hash::{
     cell_spec_json, executive_cell_spec_json, executive_spec_hash, sha256, spec_hash, SpecHash,
 };
 pub use observe::{NoopStoreObserver, StoreCounters, StoreObserver};
-pub use sweep::{
-    executive_store_coverage, run_executive_sweep_cached, run_sweep_cached,
-    run_sweep_cached_tiered, store_coverage, StoreCoverage,
-};
+pub use sweep::{run_sweep_cached_tiered, store_coverage, StoreCoverage};
 
 use eacp_exec::{
-    ExecutiveJob, ExecutiveMcReport, ExecutiveSummary, Job, LocalRunner, QueueRunner, Runner,
+    ExecutiveJob, ExecutiveMcReport, ExecutiveSummary, Job, LocalRunner, Runner, SweepPoint,
 };
 use eacp_sim::{RunOutcome, Summary};
 use eacp_spec::{ExecutiveSpec, ExperimentSpec, RunReport, ServeTier, SpecError, SummaryReport};
@@ -84,245 +82,166 @@ impl std::fmt::Display for CacheOutcome {
     }
 }
 
-/// The result of a cache-or-compute Monte-Carlo run.
+/// A [`SweepPoint`] kind the store can key, record and serve:
+/// [`ExperimentSpec`] cells hold a lossless [`Summary`],
+/// [`ExecutiveSpec`] cells a lossless [`ExecutiveSummary`].
+pub trait StorePoint: SweepPoint {
+    /// The cell this point's result lands in.
+    fn cell_id(&self) -> CellId;
+
+    /// The entry recording a computed result.
+    fn cell_entry(&self, acc: &Self::Acc, report: &Self::Report) -> CellEntry;
+
+    /// Rebuilds the exact aggregate and the report from a stored entry;
+    /// the report embeds this (the caller's) spec and names the entry as
+    /// its source.
+    fn replay(&self, entry: CellEntry) -> Result<(Self::Acc, Self::Report), SpecError>;
+}
+
+impl StorePoint for ExperimentSpec {
+    fn cell_id(&self) -> CellId {
+        CellId::for_spec(self)
+    }
+
+    fn cell_entry(&self, summary: &Summary, report: &RunReport) -> CellEntry {
+        CellEntry::summary_tiered(self, summary, report.served)
+    }
+
+    fn replay(&self, entry: CellEntry) -> Result<(Summary, RunReport), SpecError> {
+        let summary = entry.as_summary()?.clone();
+        let report = RunReport {
+            spec: self.clone(),
+            policy_name: entry.policy,
+            summary: SummaryReport::from_summary(&summary),
+            served: entry.served,
+            source: entry.source,
+        };
+        Ok((summary, report))
+    }
+}
+
+impl StorePoint for ExecutiveSpec {
+    fn cell_id(&self) -> CellId {
+        CellId::for_executive(self)
+    }
+
+    fn cell_entry(&self, summary: &ExecutiveSummary, _report: &ExecutiveMcReport) -> CellEntry {
+        CellEntry::executive(self, summary)
+    }
+
+    fn replay(&self, entry: CellEntry) -> Result<(ExecutiveSummary, ExecutiveMcReport), SpecError> {
+        let summary = entry.as_executive()?.clone();
+        let report = ExecutiveMcReport {
+            spec: self.clone(),
+            policy_names: self.policy.policy_names(self.tasks.len()),
+            summary: summary.clone(),
+            source: entry.source,
+        };
+        Ok((summary, report))
+    }
+}
+
+/// The result of a cache-or-compute run of one point.
 #[derive(Debug, Clone)]
-pub struct CachedRun {
+pub struct CachedRun<P: StorePoint = ExperimentSpec> {
     /// The cell the run landed in.
     pub id: CellId,
     /// The exact in-memory aggregate (bit-identical on hit and miss).
-    pub summary: Summary,
+    pub summary: P::Acc,
     /// The serializable report; on a hit its `source` names the store
     /// entry the result was served from.
-    pub report: RunReport,
+    pub report: P::Report,
     /// Hit, miss, or refresh.
     pub cache: CacheOutcome,
 }
 
-/// Cache-or-compute for one experiment spec (the `eacp mc` path).
+/// Cache-or-compute for one point (`eacp mc`, `eacp executive --mc`),
+/// with the closed-form serve tier enabled or disabled (`analytic =
+/// false` is the CLI's `--no-analytic`).
 ///
-/// The compute side matches `eacp_exec::run` exactly: the spec's executor
-/// section picks the queue or local scheduler. Either way the summary is
-/// bit-identical (the canonical-reduction contract), which is why the
-/// scheduling choice is not part of the cell key.
-pub fn run_cached(
-    spec: &ExperimentSpec,
-    store: &dyn StoreBackend,
-    mode: CacheMode,
-    observer: &dyn StoreObserver,
-) -> Result<CachedRun, SpecError> {
-    run_cached_tiered(spec, store, mode, observer, true)
-}
-
-/// [`run_cached`] with the closed-form serve tier explicitly enabled or
-/// disabled (`analytic = false` is the CLI's `--no-analytic`).
-pub fn run_cached_tiered(
-    spec: &ExperimentSpec,
+/// The compute side matches `eacp_exec::run` exactly: the spec's own
+/// scheduling section picks the runner ([`eacp_exec::runner_for`]).
+/// Every runner gives a bit-identical aggregate (the canonical-reduction
+/// contract), which is why the scheduling choice is not part of the cell
+/// key.
+pub fn run_cached_tiered<P: StorePoint>(
+    spec: &P,
     store: &dyn StoreBackend,
     mode: CacheMode,
     observer: &dyn StoreObserver,
     analytic: bool,
-) -> Result<CachedRun, SpecError> {
-    match &spec.executor.queue {
-        Some(q) => {
-            q.validate()?;
-            let runner = QueueRunner::new(q.workers).with_max_attempts(q.max_attempts);
-            if q.endpoints.is_empty() {
-                run_cached_with_tiered(spec, &runner, store, mode, observer, analytic)
-            } else {
-                // Remote fleet on a cache miss: same worker wiring as
-                // `eacp_exec::run_tiered`, same bit-identical summary, so
-                // the cell bytes are location-independent too.
-                let worker = eacp_exec::RemoteWorker::from_queue_spec(q);
-                let lease_timeout = worker.lease_timeout();
-                let runner = runner.with_worker(worker).with_lease_timeout(lease_timeout);
-                run_cached_with_tiered(spec, &runner, store, mode, observer, analytic)
-            }
-        }
-        None => run_cached_with_tiered(
-            spec,
-            &LocalRunner::new(spec.mc.threads),
-            store,
-            mode,
-            observer,
-            analytic,
-        ),
-    }
+) -> Result<CachedRun<P>, SpecError> {
+    run_cached_with_tiered(spec, &*spec.runner()?, store, mode, observer, analytic)
 }
 
-/// [`run_cached`] on an explicit [`Runner`] — the seam the resumable sweep
-/// shares with the single-experiment path.
-pub fn run_cached_with(
-    spec: &ExperimentSpec,
-    runner: &dyn Runner,
-    store: &dyn StoreBackend,
-    mode: CacheMode,
-    observer: &dyn StoreObserver,
-) -> Result<CachedRun, SpecError> {
-    run_cached_with_tiered(spec, runner, store, mode, observer, true)
-}
-
-/// [`run_cached_with`] with the closed-form serve tier explicitly enabled
-/// or disabled.
+/// [`run_cached_tiered`] on an explicit [`Runner`] — the seam the
+/// resumable sweep shares with the single-point path.
 ///
 /// Cells record the tier that computed them, and a hit serves whatever
 /// tier the recording run used (the marker travels in the report), so one
 /// store can hold a mix of analytic and forced-Monte-Carlo cells and
 /// `store verify` re-derives each through its own tier.
-pub fn run_cached_with_tiered(
-    spec: &ExperimentSpec,
+pub fn run_cached_with_tiered<P: StorePoint>(
+    spec: &P,
     runner: &dyn Runner,
     store: &dyn StoreBackend,
     mode: CacheMode,
     observer: &dyn StoreObserver,
     analytic: bool,
-) -> Result<CachedRun, SpecError> {
-    let id = CellId::for_spec(spec);
-    if mode == CacheMode::ReadWrite {
-        match store.get(&id)? {
-            Lookup::Hit { entry, .. } => {
-                observer.on_hit(&id);
-                let summary = entry.as_summary()?.clone();
-                let report = RunReport {
-                    spec: spec.clone(),
-                    policy_name: entry.policy.clone(),
-                    summary: SummaryReport::from_summary(&summary),
-                    served: entry.served,
-                    source: entry.source,
-                };
-                return Ok(CachedRun {
-                    id,
-                    summary,
-                    report,
-                    cache: CacheOutcome::Hit,
-                });
-            }
-            Lookup::Quarantined { detail } => observer.on_quarantine(&id, &detail),
-            Lookup::Miss => {}
-        }
-        observer.on_miss(&id);
-    }
-    let job = Job::from_spec(spec)?;
-    let (summary, served) = match analytic
-        .then(|| eacp_exec::serve_closed_form(&job))
-        .flatten()
-    {
-        Some(summary) => (summary, ServeTier::Analytic),
-        None => (runner.run(&job)?, ServeTier::Mc),
-    };
-    store.put(&CellEntry::summary_tiered(spec, &summary, served))?;
-    observer.on_record(&id);
-    let report = RunReport {
-        spec: spec.clone(),
-        policy_name: job.policy_name().to_owned(),
-        summary: SummaryReport::from_summary(&summary),
-        served,
-        source: None,
-    };
+) -> Result<CachedRun<P>, SpecError> {
+    let id = spec.cell_id();
+    let ((summary, report), cache) = cache_or_compute(
+        &id,
+        store,
+        mode,
+        observer,
+        |entry| spec.replay(entry),
+        || {
+            let (summary, report) = spec.compute(runner, analytic)?;
+            let entry = spec.cell_entry(&summary, &report);
+            Ok(((summary, report), Some(entry)))
+        },
+    )?;
     Ok(CachedRun {
         id,
         summary,
         report,
-        cache: match mode {
-            CacheMode::ReadWrite => CacheOutcome::Miss,
-            CacheMode::Refresh => CacheOutcome::Refreshed,
-        },
+        cache,
     })
 }
 
-/// The result of a cache-or-compute executive Monte-Carlo run.
-#[derive(Debug, Clone)]
-pub struct CachedExecutive {
-    /// The cell the run landed in.
-    pub id: CellId,
-    /// The exact in-memory aggregate (bit-identical on hit and miss).
-    pub summary: ExecutiveSummary,
-    /// The serializable report (spec embedded for provenance).
-    pub report: ExecutiveMcReport,
-    /// On a hit, the store entry the result was served from.
-    pub source: Option<std::path::PathBuf>,
-    /// Hit, miss, or refresh.
-    pub cache: CacheOutcome,
-}
-
-/// Cache-or-compute for one executive spec (the `eacp executive --mc`
-/// path).
-///
-/// The compute side matches the execution layer's dispatch exactly: an
-/// `mc.queue` section picks the work-queue runner, otherwise the local
-/// runner with `mc.threads` workers — a placement choice the canonical
-/// reduction proves result-neutral, which is why it is not part of the
-/// cell key.
-pub fn run_executive_cached(
-    spec: &ExecutiveSpec,
+/// The cache-or-compute core: serve an intact entry for `id` (unless
+/// refreshing), otherwise compute and record the entry the computation
+/// returns (`None` = do not record).
+fn cache_or_compute<T>(
+    id: &CellId,
     store: &dyn StoreBackend,
     mode: CacheMode,
     observer: &dyn StoreObserver,
-) -> Result<CachedExecutive, SpecError> {
-    let mc = spec.mc_or_default();
-    match mc.queue {
-        Some(q) => {
-            q.validate()?;
-            let runner = QueueRunner::new(q.workers).with_max_attempts(q.max_attempts);
-            run_executive_cached_with(spec, &runner, store, mode, observer)
-        }
-        None => {
-            run_executive_cached_with(spec, &LocalRunner::new(mc.threads), store, mode, observer)
-        }
-    }
-}
-
-/// [`run_executive_cached`] on an explicit [`Runner`] — the seam the
-/// resumable executive sweep shares with the single-spec path.
-pub fn run_executive_cached_with(
-    spec: &ExecutiveSpec,
-    runner: &dyn Runner,
-    store: &dyn StoreBackend,
-    mode: CacheMode,
-    observer: &dyn StoreObserver,
-) -> Result<CachedExecutive, SpecError> {
-    let id = CellId::for_executive(spec);
+    replay: impl FnOnce(CellEntry) -> Result<T, SpecError>,
+    compute: impl FnOnce() -> Result<(T, Option<CellEntry>), SpecError>,
+) -> Result<(T, CacheOutcome), SpecError> {
     if mode == CacheMode::ReadWrite {
-        match store.get(&id)? {
+        match store.get(id)? {
             Lookup::Hit { entry, .. } => {
-                observer.on_hit(&id);
-                let summary = entry.as_executive()?.clone();
-                let report = ExecutiveMcReport {
-                    spec: spec.clone(),
-                    policy_names: spec.policy.policy_names(spec.tasks.len()),
-                    summary: summary.clone(),
-                };
-                return Ok(CachedExecutive {
-                    id,
-                    summary,
-                    report,
-                    source: entry.source,
-                    cache: CacheOutcome::Hit,
-                });
+                observer.on_hit(id);
+                return Ok((replay(entry)?, CacheOutcome::Hit));
             }
-            Lookup::Quarantined { detail } => observer.on_quarantine(&id, &detail),
+            Lookup::Quarantined { detail } => observer.on_quarantine(id, &detail),
             Lookup::Miss => {}
         }
-        observer.on_miss(&id);
+        observer.on_miss(id);
     }
-    let job = ExecutiveJob::from_spec(spec)?;
-    let summary = runner.run_executive(&job)?;
-    store.put(&CellEntry::executive(spec, &summary))?;
-    observer.on_record(&id);
-    let report = ExecutiveMcReport {
-        spec: spec.clone(),
-        policy_names: job.policy_names(),
-        summary: summary.clone(),
+    let (value, entry) = compute()?;
+    if let Some(entry) = entry {
+        store.put(&entry)?;
+        observer.on_record(id);
+    }
+    let cache = match mode {
+        CacheMode::ReadWrite => CacheOutcome::Miss,
+        CacheMode::Refresh => CacheOutcome::Refreshed,
     };
-    Ok(CachedExecutive {
-        id,
-        summary,
-        report,
-        source: None,
-        cache: match mode {
-            CacheMode::ReadWrite => CacheOutcome::Miss,
-            CacheMode::Refresh => CacheOutcome::Refreshed,
-        },
-    })
+    Ok((value, cache))
 }
 
 /// The result of a cache-or-compute single execution.
@@ -351,35 +270,26 @@ pub fn run_cached_single(
     observer: &dyn StoreObserver,
 ) -> Result<CachedSingle, SpecError> {
     let id = CellId::for_single(spec);
-    if mode == CacheMode::ReadWrite {
-        match store.get(&id)? {
-            Lookup::Hit { entry, .. } => {
-                observer.on_hit(&id);
-                return Ok(CachedSingle {
-                    id,
-                    outcome: entry.as_outcome()?.clone(),
-                    source: entry.source,
-                    cache: CacheOutcome::Hit,
-                });
-            }
-            Lookup::Quarantined { detail } => observer.on_quarantine(&id, &detail),
-            Lookup::Miss => {}
-        }
-        observer.on_miss(&id);
-    }
-    let outcome = run_single(spec)?;
-    if outcome.anomaly.is_none() {
-        store.put(&CellEntry::outcome(spec, &outcome))?;
-        observer.on_record(&id);
-    }
+    let ((outcome, source), cache) = cache_or_compute(
+        &id,
+        store,
+        mode,
+        observer,
+        |entry| Ok((entry.as_outcome()?.clone(), entry.source)),
+        || {
+            let outcome = run_single(spec)?;
+            let entry = outcome
+                .anomaly
+                .is_none()
+                .then(|| CellEntry::outcome(spec, &outcome));
+            Ok(((outcome, None), entry))
+        },
+    )?;
     Ok(CachedSingle {
         id,
         outcome,
-        source: None,
-        cache: match mode {
-            CacheMode::ReadWrite => CacheOutcome::Miss,
-            CacheMode::Refresh => CacheOutcome::Refreshed,
-        },
+        source,
+        cache,
     })
 }
 
@@ -501,9 +411,9 @@ mod tests {
         let counters = StoreCounters::new();
         let spec = small_spec(3);
 
-        let miss = run_cached(&spec, &store, CacheMode::ReadWrite, &counters).unwrap();
+        let miss = run_cached_tiered(&spec, &store, CacheMode::ReadWrite, &counters, true).unwrap();
         assert_eq!(miss.cache, CacheOutcome::Miss);
-        let hit = run_cached(&spec, &store, CacheMode::ReadWrite, &counters).unwrap();
+        let hit = run_cached_tiered(&spec, &store, CacheMode::ReadWrite, &counters, true).unwrap();
         assert_eq!(hit.cache, CacheOutcome::Hit);
 
         let (direct_summary, direct_report) = eacp_exec::run(&spec).unwrap();
@@ -521,11 +431,26 @@ mod tests {
     fn refresh_recomputes_and_overwrites() {
         let store = MemBackend::new();
         let spec = small_spec(4);
-        run_cached(&spec, &store, CacheMode::ReadWrite, &NoopStoreObserver).unwrap();
-        let refreshed = run_cached(&spec, &store, CacheMode::Refresh, &NoopStoreObserver).unwrap();
+        run_cached_tiered(
+            &spec,
+            &store,
+            CacheMode::ReadWrite,
+            &NoopStoreObserver,
+            true,
+        )
+        .unwrap();
+        let refreshed =
+            run_cached_tiered(&spec, &store, CacheMode::Refresh, &NoopStoreObserver, true).unwrap();
         assert_eq!(refreshed.cache, CacheOutcome::Refreshed);
         // The overwrite is idempotent: the next lookup still hits.
-        let hit = run_cached(&spec, &store, CacheMode::ReadWrite, &NoopStoreObserver).unwrap();
+        let hit = run_cached_tiered(
+            &spec,
+            &store,
+            CacheMode::ReadWrite,
+            &NoopStoreObserver,
+            true,
+        )
+        .unwrap();
         assert_eq!(hit.cache, CacheOutcome::Hit);
         assert_eq!(hit.summary, refreshed.summary);
     }
@@ -544,7 +469,14 @@ mod tests {
         assert_eq!(hit.outcome, miss.outcome, "hit must be bit-identical");
         // The sentinel cell never collides with a Monte-Carlo cell of the
         // same spec and seed.
-        let mc = run_cached(&spec, &store, CacheMode::ReadWrite, &NoopStoreObserver).unwrap();
+        let mc = run_cached_tiered(
+            &spec,
+            &store,
+            CacheMode::ReadWrite,
+            &NoopStoreObserver,
+            true,
+        )
+        .unwrap();
         assert_ne!(mc.id, hit.id);
         assert_eq!(store.health().unwrap().entries, 2);
     }
@@ -553,11 +485,12 @@ mod tests {
     fn verify_passes_on_intact_stores_and_names_tampered_cells() {
         let store = MemBackend::new();
         for seed in 0..3 {
-            run_cached(
+            run_cached_tiered(
                 &small_spec(seed),
                 &store,
                 CacheMode::ReadWrite,
                 &NoopStoreObserver,
+                true,
             )
             .unwrap();
         }
@@ -617,11 +550,11 @@ mod tests {
         let counters = StoreCounters::new();
         let spec = executive_spec(7);
 
-        let miss = run_executive_cached(&spec, &store, CacheMode::ReadWrite, &counters).unwrap();
+        let miss = run_cached_tiered(&spec, &store, CacheMode::ReadWrite, &counters, true).unwrap();
         assert_eq!(miss.cache, CacheOutcome::Miss);
         assert_eq!(miss.id.seed, 7);
         assert_eq!(miss.id.replications, 10);
-        let hit = run_executive_cached(&spec, &store, CacheMode::ReadWrite, &counters).unwrap();
+        let hit = run_cached_tiered(&spec, &store, CacheMode::ReadWrite, &counters, true).unwrap();
         assert_eq!(hit.cache, CacheOutcome::Hit);
         assert_eq!(hit.summary, miss.summary, "hit must be bit-identical");
         assert_eq!(
@@ -652,9 +585,22 @@ mod tests {
         let store = MemBackend::new();
         let exec_spec = executive_spec(3);
         let mc_spec = small_spec(3);
-        let a = run_executive_cached(&exec_spec, &store, CacheMode::ReadWrite, &NoopStoreObserver)
-            .unwrap();
-        let b = run_cached(&mc_spec, &store, CacheMode::ReadWrite, &NoopStoreObserver).unwrap();
+        let a = run_cached_tiered(
+            &exec_spec,
+            &store,
+            CacheMode::ReadWrite,
+            &NoopStoreObserver,
+            true,
+        )
+        .unwrap();
+        let b = run_cached_tiered(
+            &mc_spec,
+            &store,
+            CacheMode::ReadWrite,
+            &NoopStoreObserver,
+            true,
+        )
+        .unwrap();
         assert_ne!(a.id, b.id);
         assert_eq!(store.health().unwrap().entries, 2);
         // Asking an executive cell for a single-task summary is an error,

@@ -9,13 +9,10 @@
 //! hits reconstruct the exact summary from the lossless entry payload.
 
 use crate::backend::{Lookup, StoreBackend};
-use crate::cell::CellId;
 use crate::observe::StoreObserver;
-use crate::{run_cached_with_tiered, run_executive_cached_with, CacheMode};
-use eacp_exec::{
-    ExecutiveGridReport, ExecutivePointReport, GridReport, PointReport, Runner, ShardId,
-};
-use eacp_spec::{ExecutiveSweepSpec, SpecError, SweepSpec};
+use crate::{run_cached_with_tiered, CacheMode, StorePoint};
+use eacp_exec::{run_grid, GridReport, Runner, ShardId, SweepGrid};
+use eacp_spec::SpecError;
 
 /// How much of a sweep's grid the store already covers — the store-side
 /// analogue of the execution layer's `SweepCoverage` over report files.
@@ -41,151 +38,59 @@ impl StoreCoverage {
     }
 }
 
-/// Inspects how much of `sweep`'s grid the store already holds.
+/// Inspects how much of `sweep`'s grid (either kind) the store already
+/// holds.
 ///
 /// Corrupt entries encountered along the way are quarantined by the
 /// backend and counted as missing — exactly what a subsequent
-/// [`run_sweep_cached`] would recompute.
-pub fn store_coverage(
+/// [`run_sweep_cached_tiered`] would recompute.
+pub fn store_coverage<G: SweepGrid<Point: StorePoint>>(
     store: &dyn StoreBackend,
-    sweep: &SweepSpec,
+    sweep: &G,
 ) -> Result<StoreCoverage, SpecError> {
-    let specs = sweep.expand()?;
+    let specs = sweep.points()?;
     let mut missing = Vec::new();
     for (index, spec) in specs.iter().enumerate() {
-        let id = CellId::for_spec(spec);
-        if !matches!(store.get(&id)?, Lookup::Hit { .. }) {
+        if !matches!(store.get(&spec.cell_id())?, Lookup::Hit { .. }) {
             missing.push(index);
         }
     }
     Ok(StoreCoverage {
-        sweep_name: sweep.base.name.clone(),
+        sweep_name: sweep.name().to_owned(),
         total_points: specs.len(),
         missing,
     })
 }
 
-/// Runs a sweep shard against a store: covered cells are served, uncovered
-/// cells are scheduled onto `runner` and recorded.
+/// Runs a sweep shard (either kind) against a store: covered cells are
+/// served, uncovered cells are scheduled onto `runner` and recorded;
+/// `analytic = false` (the CLI's `--no-analytic`) disables the
+/// closed-form serve tier.
 ///
-/// Drop-in replacement for `eacp_exec::run_sweep_with` — same shard
+/// Drop-in replacement for `eacp_exec::run_sweep_tiered` — same shard
 /// semantics, same report document, byte-identical output (a point's
 /// report never depends on whether it was computed or served).
-pub fn run_sweep_cached(
-    sweep: &SweepSpec,
-    shard: Option<ShardId>,
-    runner: &dyn Runner,
-    store: &dyn StoreBackend,
-    mode: CacheMode,
-    observer: &dyn StoreObserver,
-) -> Result<GridReport, SpecError> {
-    run_sweep_cached_tiered(sweep, shard, runner, store, mode, observer, true)
-}
-
-/// [`run_sweep_cached`] with the closed-form serve tier explicitly enabled
-/// or disabled (`analytic = false` is the CLI's `--no-analytic`).
 #[allow(clippy::too_many_arguments)]
-pub fn run_sweep_cached_tiered(
-    sweep: &SweepSpec,
+pub fn run_sweep_cached_tiered<G: SweepGrid<Point: StorePoint>>(
+    sweep: &G,
     shard: Option<ShardId>,
     runner: &dyn Runner,
     store: &dyn StoreBackend,
     mode: CacheMode,
     observer: &dyn StoreObserver,
     analytic: bool,
-) -> Result<GridReport, SpecError> {
-    let specs = sweep.expand()?;
-    let total = specs.len();
-    let range = match shard {
-        Some(s) => s.range(total),
-        None => 0..total,
-    };
-    let mut points = Vec::with_capacity(range.len());
-    for index in range {
-        let spec = &specs[index];
-        let cached = run_cached_with_tiered(spec, runner, store, mode, observer, analytic)
-            .map_err(|e| SpecError::invalid(format!("grid point {index} ({}): {e}", spec.name)))?;
-        points.push(PointReport {
-            index,
-            report: cached.report,
-        });
-    }
-    Ok(GridReport {
-        sweep: sweep.clone(),
-        total_points: total,
-        shard,
-        points,
-        source: None,
-    })
-}
-
-/// Inspects how much of an executive sweep's grid the store already holds
-/// — the same [`StoreCoverage`] the single-task path produces, so status
-/// commands render both kinds through one shared coverage formatter.
-pub fn executive_store_coverage(
-    store: &dyn StoreBackend,
-    sweep: &ExecutiveSweepSpec,
-) -> Result<StoreCoverage, SpecError> {
-    let specs = sweep.expand()?;
-    let mut missing = Vec::new();
-    for (index, spec) in specs.iter().enumerate() {
-        let id = CellId::for_executive(spec);
-        if !matches!(store.get(&id)?, Lookup::Hit { .. }) {
-            missing.push(index);
-        }
-    }
-    Ok(StoreCoverage {
-        sweep_name: sweep.base.name.clone(),
-        total_points: specs.len(),
-        missing,
-    })
-}
-
-/// Runs an executive sweep shard against a store: covered cells are
-/// served, uncovered cells are scheduled onto `runner` and recorded.
-///
-/// Drop-in replacement for `eacp_exec::run_executive_sweep` — same shard
-/// semantics, same report document, byte-identical output (a point's
-/// report never depends on whether it was computed or served).
-pub fn run_executive_sweep_cached(
-    sweep: &ExecutiveSweepSpec,
-    shard: Option<ShardId>,
-    runner: &dyn Runner,
-    store: &dyn StoreBackend,
-    mode: CacheMode,
-    observer: &dyn StoreObserver,
-) -> Result<ExecutiveGridReport, SpecError> {
-    let specs = sweep.expand()?;
-    let total = specs.len();
-    let range = match shard {
-        Some(s) => s.range(total),
-        None => 0..total,
-    };
-    let mut points = Vec::with_capacity(range.len());
-    for index in range {
-        let spec = &specs[index];
-        let cached = run_executive_cached_with(spec, runner, store, mode, observer)
-            .map_err(|e| SpecError::invalid(format!("grid point {index} ({}): {e}", spec.name)))?;
-        points.push(ExecutivePointReport {
-            index,
-            report: cached.report,
-        });
-    }
-    Ok(ExecutiveGridReport {
-        sweep: sweep.clone(),
-        total_points: total,
-        shard,
-        points,
-        source: None,
+) -> Result<GridReport<G>, SpecError> {
+    run_grid(sweep, shard, |spec| {
+        run_cached_with_tiered(spec, runner, store, mode, observer, analytic).map(|c| c.report)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_cached_with, CacheOutcome, MemBackend, NoopStoreObserver, StoreCounters};
-    use eacp_exec::{run_sweep_with, LocalRunner};
-    use eacp_spec::{ExperimentSpec, McSpec, SweepAxis, ToJson};
+    use crate::{CacheOutcome, MemBackend, NoopStoreObserver, StoreCounters};
+    use eacp_exec::{run_sweep_tiered, LocalRunner};
+    use eacp_spec::{ExecutiveSweepSpec, ExperimentSpec, McSpec, SweepAxis, SweepSpec, ToJson};
 
     fn small_sweep() -> SweepSpec {
         let mut base = ExperimentSpec::paper_nominal();
@@ -204,82 +109,80 @@ mod tests {
         }
     }
 
+    /// One store-backed shard (`None` = the whole grid) on one thread.
+    fn cached<G: SweepGrid<Point: StorePoint>>(
+        sweep: &G,
+        shard: Option<ShardId>,
+        store: &MemBackend,
+        observer: &dyn StoreObserver,
+    ) -> GridReport<G> {
+        let runner = LocalRunner::new(1);
+        run_sweep_cached_tiered(
+            sweep,
+            shard,
+            &runner,
+            store,
+            CacheMode::ReadWrite,
+            observer,
+            true,
+        )
+        .unwrap()
+    }
+
+    /// "Killed at the shard boundary": only shard 0 of 2 lands in the
+    /// store. Resuming over the full grid serves the finished half, computes
+    /// the rest, and equals an uninterrupted run byte for byte.
+    fn assert_resumes<G: SweepGrid<Point: StorePoint>>(sweep: &G, name: &str, missing: Vec<usize>) {
+        let store = MemBackend::new();
+        cached(
+            sweep,
+            Some(ShardId::new(0, 2).unwrap()),
+            &store,
+            &NoopStoreObserver,
+        );
+
+        let coverage = store_coverage(&store, sweep).unwrap();
+        let total = sweep.points().unwrap().len();
+        assert_eq!(coverage.sweep_name, name);
+        assert_eq!(coverage.total_points, total);
+        assert_eq!(coverage.covered(), total - missing.len());
+        assert_eq!(coverage.missing, missing);
+        assert!(!coverage.complete());
+
+        let counters = StoreCounters::new();
+        let resumed = cached(sweep, None, &store, &counters);
+        let served = (total - missing.len()) as u64;
+        assert_eq!(
+            (counters.hits(), counters.misses()),
+            (served, missing.len() as u64)
+        );
+        let plain = run_sweep_tiered(sweep, None, &LocalRunner::new(1), true).unwrap();
+        assert_eq!(resumed, plain);
+        assert_eq!(resumed.to_json().pretty(), plain.to_json().pretty());
+        assert!(store_coverage(&store, sweep).unwrap().complete());
+    }
+
     #[test]
     fn cached_sweep_matches_plain_sweep_byte_for_byte() {
         let sweep = small_sweep();
-        let runner = LocalRunner::new(1);
         let store = MemBackend::new();
         let counters = StoreCounters::new();
 
-        let plain = run_sweep_with(&sweep, None, &runner).unwrap();
-        let cold = run_sweep_cached(
-            &sweep,
-            None,
-            &runner,
-            &store,
-            CacheMode::ReadWrite,
-            &counters,
-        )
-        .unwrap();
+        let plain = run_sweep_tiered(&sweep, None, &LocalRunner::new(1), true).unwrap();
+        let cold = cached(&sweep, None, &store, &counters);
         assert_eq!(cold, plain);
         assert_eq!(cold.to_json().pretty(), plain.to_json().pretty());
         assert_eq!((counters.hits(), counters.misses()), (0, 4));
 
         // Warm rerun: all four points served, still byte-identical.
-        let warm = run_sweep_cached(
-            &sweep,
-            None,
-            &runner,
-            &store,
-            CacheMode::ReadWrite,
-            &counters,
-        )
-        .unwrap();
+        let warm = cached(&sweep, None, &store, &counters);
         assert_eq!(warm.to_json().pretty(), plain.to_json().pretty());
         assert_eq!((counters.hits(), counters.misses()), (4, 4));
     }
 
     #[test]
     fn interrupted_sweep_resumes_from_the_store() {
-        let sweep = small_sweep();
-        let runner = LocalRunner::new(1);
-        let store = MemBackend::new();
-
-        // "Killed at the shard boundary": only shard 0 of 2 completed.
-        let shard0 = ShardId::new(0, 2).unwrap();
-        run_sweep_cached(
-            &sweep,
-            Some(shard0),
-            &runner,
-            &store,
-            CacheMode::ReadWrite,
-            &NoopStoreObserver,
-        )
-        .unwrap();
-
-        let coverage = store_coverage(&store, &sweep).unwrap();
-        assert_eq!(coverage.sweep_name, "grid");
-        assert_eq!(coverage.total_points, 4);
-        assert_eq!(coverage.covered(), 2);
-        assert_eq!(coverage.missing, vec![2, 3]);
-        assert!(!coverage.complete());
-
-        // Resume over the full grid: the finished half hits, the rest
-        // computes, and the result equals an uninterrupted run.
-        let counters = StoreCounters::new();
-        let resumed = run_sweep_cached(
-            &sweep,
-            None,
-            &runner,
-            &store,
-            CacheMode::ReadWrite,
-            &counters,
-        )
-        .unwrap();
-        assert_eq!((counters.hits(), counters.misses()), (2, 2));
-        let plain = run_sweep_with(&sweep, None, &runner).unwrap();
-        assert_eq!(resumed.to_json().pretty(), plain.to_json().pretty());
-        assert!(store_coverage(&store, &sweep).unwrap().complete());
+        assert_resumes(&small_sweep(), "grid", vec![2, 3]);
     }
 
     #[test]
@@ -289,15 +192,7 @@ mod tests {
         let mut sweep = small_sweep();
         sweep.axes = vec![SweepAxis::Seed(vec![1, 2, 3])];
         let store = MemBackend::new();
-        let report = run_sweep_cached(
-            &sweep,
-            None,
-            &LocalRunner::new(1),
-            &store,
-            CacheMode::ReadWrite,
-            &NoopStoreObserver,
-        )
-        .unwrap();
+        let report = cached(&sweep, None, &store, &NoopStoreObserver);
         assert_eq!(report.points.len(), 3);
         assert_eq!(store.health().unwrap().entries, 3);
     }
@@ -309,25 +204,8 @@ mod tests {
         // otherwise merged grids would lose their names.
         let sweep = small_sweep();
         let store = MemBackend::new();
-        let runner = LocalRunner::new(1);
-        run_sweep_cached(
-            &sweep,
-            None,
-            &runner,
-            &store,
-            CacheMode::ReadWrite,
-            &NoopStoreObserver,
-        )
-        .unwrap();
-        let warm = run_sweep_cached(
-            &sweep,
-            None,
-            &runner,
-            &store,
-            CacheMode::ReadWrite,
-            &NoopStoreObserver,
-        )
-        .unwrap();
+        cached(&sweep, None, &store, &NoopStoreObserver);
+        let warm = cached(&sweep, None, &store, &NoopStoreObserver);
         let expected = sweep.expand().unwrap();
         for point in &warm.points {
             assert_eq!(point.report.spec, expected[point.index]);
@@ -360,42 +238,7 @@ mod tests {
 
     #[test]
     fn cached_executive_sweep_resumes_byte_identically() {
-        let sweep = executive_sweep();
-        let runner = LocalRunner::new(1);
-        let store = MemBackend::new();
-        let counters = StoreCounters::new();
-
-        let plain = eacp_exec::run_executive_sweep(&sweep, None, &runner).unwrap();
-
-        // "Killed" after shard 0 of 2; resume over the full grid.
-        let shard0 = ShardId::new(0, 2).unwrap();
-        run_executive_sweep_cached(
-            &sweep,
-            Some(shard0),
-            &runner,
-            &store,
-            CacheMode::ReadWrite,
-            &NoopStoreObserver,
-        )
-        .unwrap();
-        let coverage = executive_store_coverage(&store, &sweep).unwrap();
-        assert_eq!(coverage.sweep_name, "exec-grid");
-        assert_eq!(coverage.covered(), 1);
-        assert_eq!(coverage.missing, vec![1]);
-
-        let resumed = run_executive_sweep_cached(
-            &sweep,
-            None,
-            &runner,
-            &store,
-            CacheMode::ReadWrite,
-            &counters,
-        )
-        .unwrap();
-        assert_eq!((counters.hits(), counters.misses()), (1, 1));
-        assert_eq!(resumed, plain);
-        assert_eq!(resumed.to_json().pretty(), plain.to_json().pretty());
-        assert!(executive_store_coverage(&store, &sweep).unwrap().complete());
+        assert_resumes(&executive_sweep(), "exec-grid", vec![1]);
     }
 
     #[test]
@@ -404,21 +247,23 @@ mod tests {
         let store = MemBackend::new();
         let spec = &sweep.expand().unwrap()[0];
         let runner = LocalRunner::new(1);
-        let first = run_cached_with(
+        let first = run_cached_with_tiered(
             spec,
             &runner,
             &store,
             CacheMode::ReadWrite,
             &NoopStoreObserver,
+            true,
         )
         .unwrap();
         assert_eq!(first.cache, CacheOutcome::Miss);
-        let second = run_cached_with(
+        let second = run_cached_with_tiered(
             spec,
             &runner,
             &store,
             CacheMode::ReadWrite,
             &NoopStoreObserver,
+            true,
         )
         .unwrap();
         assert_eq!(second.cache, CacheOutcome::Hit);
