@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices called out in `DESIGN.md`:
+//! Ablation benches for the reproduction's main design choices:
 //!
 //! * sub-checkpoint subdivision on/off (`A_D_S` vs `A_D`) — the paper's
 //!   core mechanism;

@@ -8,7 +8,8 @@
 //!
 //! Timings are the benchmark payload; the *values* the paper reports are
 //! regenerated by `cargo run --release -p eacp-experiments --bin
-//! gen-tables` and recorded in `EXPERIMENTS.md`.
+//! gen-tables` and compared with the paper in the README's "Reproducing
+//! the paper" section.
 
 #![forbid(unsafe_code)]
 

@@ -520,7 +520,10 @@ fn cache_mode(o: &Options) -> CacheMode {
 /// Runs one Monte-Carlo point (`mc`, `executive --mc`) on the runner its
 /// spec asks for — through the result store when one is configured —
 /// returning the exact aggregate, the report and the one-line cache note.
-fn run_point<P: StorePoint>(o: &Options, spec: &P) -> Result<(P::Acc, P::Report, String), String> {
+fn run_mc_point<P: StorePoint>(
+    o: &Options,
+    spec: &P,
+) -> Result<(P::Acc, P::Report, String), String> {
     let analytic = !o.no_analytic;
     let Some(backend) = resolve_store(o)? else {
         let runner = spec.runner().map_err(|e| e.to_string())?;
@@ -829,7 +832,7 @@ pub fn cmd_mc(o: &Options) -> Result<String, String> {
     if o.emit_spec {
         return Ok(spec.to_json_string());
     }
-    let (summary, report, mut note) = run_point(o, &spec)?;
+    let (summary, report, mut note) = run_mc_point(o, &spec)?;
     if report.served == eacp_spec::ServeTier::Analytic {
         note.insert_str(0, "served: analytic (replication-invariant cell)\n");
     }
@@ -968,7 +971,7 @@ impl SweepCommand for SweepSpec {
         out
     }
 
-    fn csv(rows: &[(Option<usize>, RunReport)]) -> String {
+    fn csv(rows: &[ReportRow<Self>]) -> String {
         eacp_exec::csv::render_rows(rows, &paper_ref_of)
     }
 }
@@ -1041,7 +1044,7 @@ impl SweepCommand for ExecutiveSweepSpec {
         out
     }
 
-    fn csv(rows: &[(Option<usize>, eacp_exec::ExecutiveMcReport)]) -> String {
+    fn csv(rows: &[ReportRow<Self>]) -> String {
         render_executive_csv(rows)
     }
 }
@@ -1934,7 +1937,7 @@ fn cmd_executive_mc(o: &Options) -> Result<String, String> {
     if o.emit_spec {
         return Ok(spec.to_json_string());
     }
-    let (_, report, note) = run_point(o, &spec)?;
+    let (_, report, note) = run_mc_point(o, &spec)?;
     if o.json {
         // Byte-identical on hit and miss; cache telemetry stays out.
         return Ok(report.to_json().pretty());
@@ -2537,23 +2540,45 @@ pub fn dispatch(args: Vec<String>) -> Result<String, String> {
         return Ok(USAGE.to_owned());
     };
     let rest = args.into_iter().skip(1);
+    // Each command takes at most this many positional arguments.
+    let opts = |positional: usize| parse_command(&cmd, rest, positional);
     match cmd.as_str() {
-        "run" => cmd_run(&parse_options(rest)?),
-        "mc" => cmd_mc(&parse_options(rest)?),
-        "sweep" => cmd_sweep(&parse_options(rest)?),
-        "serve" => cmd_serve(&parse_options(rest)?),
-        "merge" => cmd_merge(&parse_options(rest)?),
-        "queue" => cmd_queue(&parse_options(rest)?),
-        "store" => cmd_store(&parse_options(rest)?),
-        "csv" => cmd_csv(&parse_options(rest)?),
-        "analyze" => cmd_analyze(&parse_options(rest)?),
-        "table" => cmd_table(&parse_options(rest)?),
-        "feasibility" => cmd_feasibility(&parse_options(rest)?),
-        "executive" => cmd_executive(&parse_options(rest)?),
-        "bench" => cmd_bench(&parse_options(rest)?),
-        "presets" => Ok(cmd_presets()),
+        "run" => cmd_run(&opts(0)?),
+        "mc" => cmd_mc(&opts(0)?),
+        "sweep" => cmd_sweep(&opts(0)?),
+        "serve" => cmd_serve(&opts(0)?),
+        "merge" => cmd_merge(&opts(1)?),
+        "queue" => cmd_queue(&opts(2)?),
+        "store" => cmd_store(&opts(1)?),
+        "csv" => cmd_csv(&opts(1)?),
+        "analyze" => cmd_analyze(&opts(0)?),
+        "table" => cmd_table(&opts(1)?),
+        "feasibility" => cmd_feasibility(&opts(0)?),
+        "executive" => cmd_executive(&opts(0)?),
+        "bench" => cmd_bench(&opts(0)?),
+        "presets" => opts(0).map(|_| cmd_presets()),
         "--help" | "-h" | "help" => Ok(USAGE.to_owned()),
         other => Err(format!("unknown command {other:?}\n{USAGE}")),
+    }
+}
+
+/// Parses `cmd`'s flags and rejects positional arguments beyond the
+/// `positional` the command takes — a stray argument (`eacp mc spec.json`
+/// instead of `--spec spec.json`) must not silently run something else.
+fn parse_command(
+    cmd: &str,
+    args: impl Iterator<Item = String>,
+    positional: usize,
+) -> Result<Options, String> {
+    let o = parse_options(args)?;
+    match o.positional.get(positional) {
+        None => Ok(o),
+        Some(extra) if positional == 0 => Err(format!(
+            "{cmd}: unexpected argument {extra:?} ({cmd} takes no positional arguments)"
+        )),
+        Some(extra) => Err(format!(
+            "{cmd}: unexpected argument {extra:?} ({cmd} takes at most {positional})"
+        )),
     }
 }
 

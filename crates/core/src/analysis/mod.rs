@@ -3,8 +3,8 @@
 //! Every display equation in the available paper text is corrupted by PDF
 //! extraction; the formulas here were re-derived from first principles and
 //! validated against the limiting cases the paper states in prose and
-//! against Monte-Carlo simulation (see `DESIGN.md` §2 and the
-//! `analysis_vs_simulation` integration tests).
+//! against Monte-Carlo simulation (see the `analysis_vs_simulation`
+//! integration tests).
 
 mod dvs;
 mod intervals;

@@ -8,7 +8,7 @@
 //!
 //! The paper does not state the absolute supply voltages. Calibrating
 //! against the energy scales it reports (≈39k for an all-slow run of a
-//! `U = 0.76` task, ≈149k for the all-fast variant — see `DESIGN.md` §2.4)
+//! `U = 0.76` task, ≈149k for the all-fast variant)
 //! gives per-processor `V² = 2` at `f1` and `V² = 4` at `f2`
 //! (`V1 ≈ 1.41 V`, `V2 = 2.0 V`). [`DvsConfig::paper_default`] encodes
 //! exactly that; everything is configurable for sensitivity studies.

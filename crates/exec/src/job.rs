@@ -1,8 +1,8 @@
 //! The [`Job`] abstraction: a fully-validated, self-contained Monte-Carlo
 //! experiment ready for any [`crate::Runner`].
 //!
-//! A job replaces the old closure-factory signature of
-//! `MonteCarlo::run(scenario, options, policy_factory, fault_factory)`:
+//! A job replaces the original simulator's closure-factory Monte-Carlo
+//! driver (scenario, options, policy factory, fault factory):
 //! spec-driven jobs build their per-replication policy and fault stream
 //! from the validated [`ExperimentSpec`] ([`Job::from_spec`]), while
 //! custom policies (tests, ablations) enter through [`Job::from_parts`].

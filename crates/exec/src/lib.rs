@@ -1,9 +1,9 @@
 //! Unified execution layer for the EACP workspace.
 //!
 //! `eacp-spec` describes experiments; this crate *runs* them. It replaces
-//! the two welded-shut entry points of the original simulator — the
-//! closure-factory `MonteCarlo::run` and the separate `run_traced` code
-//! path — with three composable pieces:
+//! the two welded-shut entry points of the original simulator — a
+//! closure-factory Monte-Carlo driver and a separate traced code path —
+//! with three composable pieces:
 //!
 //! * **[`Job`]** — a validated Monte-Carlo experiment, built from an
 //!   [`ExperimentSpec`] ([`Job::from_spec`]) or from explicit parts for

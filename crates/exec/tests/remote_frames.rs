@@ -93,3 +93,25 @@ fn frame_exactly_at_the_cap_round_trips() {
     let mut r = buf.as_slice();
     assert_eq!(read_frame(&mut r).unwrap(), Some(max));
 }
+
+/// A frame of 200,000 nested `[` decodes to a typed depth error that the
+/// server answers with — the connection thread does not overflow its
+/// stack, and the server keeps serving.
+#[test]
+fn deeply_nested_frame_is_answered_with_a_depth_error() {
+    use eacp_exec::remote::{answer_request, ping, RemoteServer};
+    use std::time::Duration;
+
+    let deep = "[".repeat(200_000);
+    let answer = answer_request(&deep);
+    assert!(answer.contains("depth limit"), "{answer}");
+
+    let server = RemoteServer::bind("127.0.0.1:0").unwrap();
+    let stream = std::net::TcpStream::connect(server.endpoint()).unwrap();
+    let mut writer = &stream;
+    write_frame(&mut writer, &deep).unwrap();
+    let mut reader = &stream;
+    let response = read_frame(&mut reader).unwrap().expect("an error response");
+    assert!(response.contains("depth limit"), "{response}");
+    ping(server.endpoint(), Duration::from_secs(5)).expect("server still serving");
+}

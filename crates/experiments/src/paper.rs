@@ -220,7 +220,7 @@ mod tests {
     #[test]
     fn f2_tables_use_more_energy_than_f1_tables() {
         // All-f2 baselines burn ≈3.8× the all-f1 energy (V² doubles, work
-        // doubles) — the calibration anchor from DESIGN.md §2.4.
+        // doubles) — the calibration anchor in the `eacp-energy` crate docs.
         let f1 = paper_cell(TableId::Table1, TablePart::A, 0.76, 1.4e-3).unwrap();
         let f2 = paper_cell(TableId::Table2, TablePart::A, 0.76, 1.4e-3).unwrap();
         let ratio = f2.e_of(SchemeId::Poisson) / f1.e_of(SchemeId::Poisson);

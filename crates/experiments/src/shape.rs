@@ -4,7 +4,7 @@
 //! a reimplementation, so exact values are not expected to match. What
 //! *must* match is the shape of the comparison — who wins, by roughly what
 //! factor, and where the regimes flip. These checks encode the paper's
-//! claims (see `DESIGN.md` §5) and are evaluated by the `gen-tables` binary
+//! claims and are evaluated by the `gen-tables` binary
 //! and the workspace integration tests.
 
 use crate::runner::TableResult;

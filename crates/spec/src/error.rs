@@ -33,6 +33,14 @@ pub enum SpecError {
         /// Accepted tags, for the error message.
         expected: &'static str,
     },
+    /// A JSON document nests arrays and objects deeper than
+    /// [`crate::json::MAX_NESTING`] levels.
+    TooDeep {
+        /// The nesting limit that was exceeded.
+        limit: usize,
+        /// Where the limit was crossed (`line L, column C`).
+        position: String,
+    },
     /// A value is structurally valid JSON but semantically invalid
     /// (negative rate, empty DVS table, zero replications, ...).
     Invalid(String),
@@ -91,6 +99,10 @@ impl std::fmt::Display for SpecError {
             } => write!(
                 f,
                 "unknown {what} kind {kind:?} (expected one of: {expected})"
+            ),
+            SpecError::TooDeep { limit, position } => write!(
+                f,
+                "invalid JSON: nesting exceeds the depth limit of {limit} levels ({position})"
             ),
             SpecError::Invalid(msg) => write!(f, "invalid spec: {msg}"),
             SpecError::Io(msg) => write!(f, "spec file I/O: {msg}"),

@@ -46,12 +46,24 @@ pub trait FromJson: Sized {
     fn from_json(json: &Json) -> Result<Self, SpecError>;
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every document
+/// this workspace writes nests under ten levels; the cap keeps a hostile
+/// document (a spec file, a store entry, a remote frame) from overflowing
+/// the parser's stack.
+pub const MAX_NESTING: usize = 128;
+
 impl Json {
     /// Parses a JSON text.
+    ///
+    /// # Errors
+    ///
+    /// Malformed text is [`SpecError::Parse`]; nesting deeper than
+    /// [`MAX_NESTING`] is [`SpecError::TooDeep`].
     pub fn parse(text: &str) -> Result<Json, SpecError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -296,11 +308,13 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> SpecError {
-        // Convert byte offset to line/column for a useful message.
+    /// The current position as `line L, column C`.
+    fn position(&self) -> String {
         let consumed = &self.bytes[..self.pos.min(self.bytes.len())];
         let line = consumed.iter().filter(|&&b| b == b'\n').count() + 1;
         let col = consumed.len()
@@ -309,7 +323,11 @@ impl<'a> Parser<'a> {
                 .rposition(|&b| b == b'\n')
                 .map_or(0, |p| p + 1)
             + 1;
-        SpecError::parse(format!("{msg} (line {line}, column {col})"))
+        format!("line {line}, column {col}")
+    }
+
+    fn err(&self, msg: &str) -> SpecError {
+        SpecError::parse(format!("{msg} ({})", self.position()))
     }
 
     fn peek(&self) -> Option<u8> {
@@ -348,8 +366,22 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, SpecError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_NESTING {
+                    return Err(SpecError::TooDeep {
+                        limit: MAX_NESTING,
+                        position: self.position(),
+                    });
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -543,6 +575,28 @@ mod tests {
         assert!(Json::parse("{\"a\" 1}").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_NESTING), "]".repeat(MAX_NESTING));
+        assert!(Json::parse(&at_limit).is_ok());
+        let nested_objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_NESTING),
+            "}".repeat(MAX_NESTING)
+        );
+        assert!(Json::parse(&nested_objects).is_ok());
+        // Far past the limit: an error, not a stack overflow.
+        let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(
+            err,
+            SpecError::TooDeep {
+                limit: MAX_NESTING,
+                position: format!("line 1, column {}", MAX_NESTING + 1),
+            }
+        );
+        assert!(err.to_string().contains("depth limit of 128"), "{err}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every type here is plain data with a `build()` method that turns it into
 //! the corresponding runtime object (`Scenario`, [`PolicyKind`],
-//! [`FaultKind`], `MonteCarlo`, `ExecutorOptions`). Building validates:
+//! [`FaultKind`], `ExecutorOptions`). Building validates:
 //! all the panicking invariants of the runtime constructors are checked up
 //! front and reported as [`SpecError`]s instead. Policies and fault
 //! processes build as concrete enums — the monomorphized hot path — and
@@ -17,7 +17,7 @@ use eacp_energy::{DvsConfig, SpeedLevel};
 use eacp_faults::{
     BurstProcess, DeterministicFaults, FaultKind, PhasedPoisson, PoissonProcess, WeibullRenewal,
 };
-use eacp_sim::{CheckpointCosts, ExecutorOptions, MonteCarlo, Scenario, TaskSpec};
+use eacp_sim::{CheckpointCosts, ExecutorOptions, Scenario, TaskSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -1109,14 +1109,12 @@ impl Default for McSpec {
 }
 
 impl McSpec {
-    /// Builds the [`MonteCarlo`] configuration.
-    pub fn build(&self) -> Result<MonteCarlo, SpecError> {
+    /// Checks the replication parameters.
+    pub fn validate(&self) -> Result<(), SpecError> {
         if self.replications == 0 {
             return Err(SpecError::invalid("replications must be positive"));
         }
-        Ok(MonteCarlo::new(self.replications)
-            .with_seed(self.seed)
-            .with_threads(self.threads))
+        Ok(())
     }
 }
 
@@ -1455,7 +1453,7 @@ impl ExperimentSpec {
         self.scenario.build()?;
         self.faults.build(0)?;
         self.policy.build()?;
-        self.mc.build()?;
+        self.mc.validate()?;
         self.executor.build()?;
         Ok(())
     }
@@ -1538,7 +1536,7 @@ mod tests {
             replications: 0,
             ..McSpec::default()
         };
-        assert!(mc.build().is_err());
+        assert!(mc.validate().is_err());
 
         let dvs = DvsSpec::Levels { levels: vec![] };
         assert!(dvs.build().is_err());

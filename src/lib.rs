@@ -53,8 +53,8 @@
 //! ```
 //!
 //! Regenerate the paper's tables with
-//! `cargo run --release -p eacp-experiments --bin gen-tables`, and see
-//! `EXPERIMENTS.md` for the full paper-vs-measured record.
+//! `cargo run --release -p eacp-experiments --bin gen-tables`; the
+//! README's "Reproducing the paper" section compares them with the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
