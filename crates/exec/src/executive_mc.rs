@@ -21,6 +21,18 @@
 //! Persistence is lossless: [`ExecutiveSummary`] serializes its raw
 //! accumulator state ([`OnlineStats::raw_parts`]), so a result-store cache
 //! hit is byte-identical to recomputation.
+//!
+//! Each block's [`ExecutiveReplicator`] owns a [`FaultFreeMemo`] keyed on
+//! `(task index, rel_deadline.to_bits())`. A job that finished before its
+//! first fault arrival is recorded; a later job with the same key whose
+//! first arrival lands at or after the recorded finish takes the recorded
+//! outcome without running the engine. The hit is exact by the same
+//! determinism contract the analytic tier relies on: spec-built policies
+//! are deterministic given what they observe, and `PolicyKind::reset`
+//! restores a fresh policy. The memo lives in the replicator, never in the
+//! reusable [`ExecutiveScratch`], so it never outlives its workload. The
+//! observed path (`run_executive_observed`, traced runs) and a single
+//! `run_executive` use no memo and still run every job.
 
 use crate::workload::{Replicate, Workload};
 use eacp_core::policies::PolicyKind;
@@ -28,13 +40,11 @@ use eacp_energy::DvsConfig;
 use eacp_faults::BatchedFaults;
 use eacp_numerics::OnlineStats;
 use eacp_rtsched::executive::{
-    run_executive_pooled, scenario_template, ExecutiveParams, ExecutiveScratch, JobRecord,
-    PolicyProvider,
+    run_executive_pooled, scenario_template, ExecutiveParams, ExecutiveScratch, FaultFreeMemo,
+    JobRecord, PolicyProvider,
 };
 use eacp_rtsched::TaskSet;
-use eacp_sim::{
-    replication_seed, CheckpointCosts, ExecutorOptions, NoopObserver, Policy, Scenario,
-};
+use eacp_sim::{replication_seed, CheckpointCosts, ExecutorOptions, NoopObserver, Scenario};
 use eacp_spec::{CheckpointTotals, ExecutiveSpec, FromJson, Json, SpecError, ToJson};
 
 /// Per-task aggregates over every job of every horizon.
@@ -425,7 +435,9 @@ struct PooledPolicies {
 }
 
 impl PolicyProvider for PooledPolicies {
-    fn policy_for_job(&mut self, task: usize) -> &mut dyn Policy {
+    type Policy = PolicyKind;
+
+    fn policy_for_job(&mut self, task: usize) -> &mut PolicyKind {
         let policy = &mut self.policies[task];
         // `PolicyKind::reset` restores the just-constructed state, so the
         // pooled instance is indistinguishable from the boxed-fresh path.
@@ -436,9 +448,9 @@ impl PolicyProvider for PooledPolicies {
 
 /// The pooled executive horizon driver: everything reusable is built once
 /// per block — the [`ExecutiveScratch`], the scenario template, one
-/// batched fault stream and one [`PolicyKind`] per task — then each
-/// replication resets the fault stream to its derived seed and runs one
-/// horizon through [`run_executive_pooled`].
+/// batched fault stream, one [`PolicyKind`] per task and the block's
+/// [`FaultFreeMemo`] — then each replication resets the fault stream to
+/// its derived seed and runs one horizon through [`run_executive_pooled`].
 pub struct ExecutiveReplicator<'w> {
     job: &'w ExecutiveJob,
     params: ExecutiveParams<'w>,
@@ -446,6 +458,22 @@ pub struct ExecutiveReplicator<'w> {
     scratch: ExecutiveScratch,
     faults: BatchedFaults,
     policies: PooledPolicies,
+    memo: FaultFreeMemo,
+}
+
+impl ExecutiveReplicator<'_> {
+    /// The last horizon's job records, in release order (ties broken by
+    /// task index).
+    pub fn jobs(&self) -> &[JobRecord] {
+        self.scratch.jobs()
+    }
+
+    /// Lifetime fault-free memo (hits, misses) over this block's horizons:
+    /// jobs served from the memo and jobs that ran the engine —
+    /// diagnostics and tests.
+    pub fn memo_stats(&self) -> (u64, u64) {
+        self.memo.stats()
+    }
 }
 
 impl Replicate for ExecutiveReplicator<'_> {
@@ -461,6 +489,7 @@ impl Replicate for ExecutiveReplicator<'_> {
             &mut self.policies,
             &mut NoopObserver,
             &mut self.scratch,
+            Some(&mut self.memo),
         );
         acc.absorb_horizon(self.scratch.jobs());
     }
@@ -514,6 +543,7 @@ impl Workload for ExecutiveJob {
             // audit:allow(panic): `from_spec` validated the fault spec.
             faults: BatchedFaults::new(faults.expect("validated fault spec")),
             policies,
+            memo: FaultFreeMemo::new(),
         }
     }
 }

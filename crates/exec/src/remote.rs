@@ -16,6 +16,10 @@
 //! * **[`RemoteServer`]** — the `eacp serve` loop: accept, read requests,
 //!   run each block with the same [`run_block`] the local runners use,
 //!   reply. One thread per connection, sequential requests within it.
+//!   Resources are bounded: at most [`MAX_CONNECTIONS`] connections are
+//!   served at once (the accept loop closes any beyond that), and a
+//!   connection that sends no request, or does not take its reply, for
+//!   [`IDLE_TIMEOUT`] is closed, so idle clients cannot pin threads.
 //! * **[`RemoteWorker`]** — the client side of the [`Worker`] seam. Each
 //!   leased block becomes one request: connect (with timeout), send,
 //!   await the partial summary (read/write timeouts throughout). Failures
@@ -38,7 +42,7 @@ use eacp_sim::{NoopObserver, Summary};
 use eacp_spec::{ExperimentSpec, FromJson, Json, QueueSpec, SpecError, ToJson};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -50,6 +54,16 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// summary this workspace produces, small enough that a corrupt or
 /// hostile length prefix cannot exhaust memory.
 pub const MAX_FRAME_BYTES: usize = 8 * 1024 * 1024;
+
+/// How long a served connection may wait on its peer — for the next
+/// request's bytes or for room to write a reply — before the server
+/// closes it. Clients send their request as soon as they connect, so only
+/// idle or wedged peers ever reach it.
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Most connections a server handles at once. The accept loop closes any
+/// connection beyond it immediately; clients retry or rotate endpoints.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// Writes one length-prefixed frame.
 pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> Result<(), SpecError> {
@@ -168,6 +182,13 @@ fn answer_inner(text: &str) -> Result<String, SpecError> {
 }
 
 fn serve_connection(stream: TcpStream) {
+    if stream
+        .set_read_timeout(Some(IDLE_TIMEOUT))
+        .and_then(|()| stream.set_write_timeout(Some(IDLE_TIMEOUT)))
+        .is_err()
+    {
+        return;
+    }
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -176,8 +197,9 @@ fn serve_connection(stream: TcpStream) {
     loop {
         let request = match read_frame(&mut reader) {
             Ok(Some(text)) => text,
-            // Clean close or a broken frame: either way the conversation
-            // is over; the client's timeouts and retries own recovery.
+            // Clean close, a broken frame or an idle timeout: either way
+            // the conversation is over; the client's timeouts and retries
+            // own recovery.
             Ok(None) | Err(_) => return,
         };
         if write_frame(&mut writer, &answer_request(&request)).is_err() {
@@ -186,14 +208,42 @@ fn serve_connection(stream: TcpStream) {
     }
 }
 
-fn accept_loop(listener: TcpListener, stop: &AtomicBool) {
-    for conn in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        std::thread::spawn(move || serve_connection(stream));
+/// One occupied connection slot; dropping it (when the serving thread
+/// ends, or when the thread could not be spawned) frees the slot.
+struct ConnectionSlot<'a>(&'a AtomicUsize);
+
+impl Drop for ConnectionSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
+}
+
+/// Accepts until `stop` is set, serving each connection on its own scoped
+/// thread; returns once every connection thread has ended (idle ones end
+/// within [`IDLE_TIMEOUT`]).
+fn accept_loop(listener: TcpListener, stop: &AtomicBool) {
+    let live = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for conn in listener.incoming() {
+            if stop.load(Ordering::SeqCst) {
+                break;
+            }
+            let Ok(stream) = conn else { continue };
+            // Only this thread takes slots, so the check cannot race
+            // another taker; dropping the stream closes it.
+            if live.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                continue;
+            }
+            live.fetch_add(1, Ordering::SeqCst);
+            let slot = ConnectionSlot(&live);
+            // A failed spawn drops the closure, which frees the slot and
+            // closes the stream.
+            let _ = std::thread::Builder::new().spawn_scoped(scope, move || {
+                let _slot = slot;
+                serve_connection(stream);
+            });
+        }
+    });
 }
 
 /// A background block-execution server: the in-process form of
@@ -233,8 +283,9 @@ impl RemoteServer {
         &self.endpoint
     }
 
-    /// Stops accepting and joins the accept thread. Connections already
-    /// being served finish their current conversation and exit at EOF.
+    /// Stops accepting and joins the accept thread, which waits for the
+    /// connections being served: each ends at its client's EOF, or after
+    /// [`IDLE_TIMEOUT`] when the client goes quiet.
     pub fn shutdown(self) {
         drop(self);
     }
@@ -527,6 +578,9 @@ mod tests {
         let mut reader = std::io::BufReader::new(&stream);
         let text = read_frame(&mut reader).unwrap().unwrap();
         assert!(text.contains("error"), "{text}");
+        // Hang up first: shutdown waits for open connections.
+        drop(reader);
+        drop(stream);
         server.shutdown();
     }
 

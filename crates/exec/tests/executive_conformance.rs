@@ -2,13 +2,17 @@
 //! (same spec + seed ⇒ byte-identical report), consistency with the
 //! single-job Monte-Carlo path, and invariance of the aggregates.
 
-use eacp_exec::{run_executive, ExecutiveJob, Job, LocalRunner, QueueRunner, Runner};
-use eacp_sim::{replication_seed, NoopObserver};
-use eacp_spec::ToJson;
-use eacp_spec::{
-    CostsSpec, DvsSpec, ExecSpec, ExecutiveMcSpec, ExecutiveSpec, ExperimentSpec, FaultSpec,
-    McSpec, PolicyAssignment, PolicySpec, ScenarioSpec, TaskSetSpec, WorkSpec,
+use eacp_exec::{
+    run_executive, ExecutiveJob, Job, LocalRunner, QueueRunner, Replicate, Runner, Workload,
 };
+use eacp_rtsched::executive::JobRecord;
+use eacp_sim::{replication_seed, NoopObserver};
+use eacp_spec::{
+    CostsSpec, DvsSpec, ExecSpec, ExecutiveMcSpec, ExecutiveSpec, ExecutiveSweepSpec,
+    ExperimentSpec, FaultSpec, McSpec, PolicyAssignment, PolicySpec, ScenarioSpec, TaskSetSpec,
+    WorkSpec,
+};
+use eacp_spec::{FromJson, Json, ToJson};
 
 fn duo_spec() -> ExecutiveSpec {
     let lambda = 8e-4;
@@ -189,4 +193,180 @@ fn per_task_policies_are_applied_per_task() {
         report.tasks[1].checkpoints, shared.tasks[1].checkpoints,
         "k-f-t and A_D_S should place different checkpoints on the control task"
     );
+}
+
+/// Bit-level equality of two job logs: `JobRecord`'s `PartialEq` compares
+/// floats with `==`, which would accept `0.0` for `-0.0`.
+fn assert_jobs_bit_identical(pooled: &[JobRecord], fresh: &[JobRecord], what: &str) {
+    assert_eq!(pooled, fresh, "{what}");
+    for (a, b) in pooled.iter().zip(fresh) {
+        for (x, y) in [
+            (a.release, b.release),
+            (a.absolute_deadline, b.absolute_deadline),
+            (a.started, b.started),
+            (a.finished, b.finished),
+            (a.energy, b.energy),
+        ] {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: {a:?} vs {b:?}");
+        }
+    }
+}
+
+/// Runs `horizons` seeded horizons of `spec` through one pooled replicator
+/// (one fault-free memo across all of them, as a runner block keeps it)
+/// and checks every horizon's job log against the memo-free observed path
+/// with freshly boxed policies. Returns the replicator's memo (hits,
+/// misses) and the number of jobs that saw a fault.
+fn pooled_matches_fresh(spec: &ExecutiveSpec, horizons: u64) -> ((u64, u64), u64) {
+    let job = ExecutiveJob::from_spec(spec).unwrap();
+    let mut rep = job.replicator();
+    let mut acc = job.empty_acc();
+    let mut faulted = 0u64;
+    for h in 0..horizons {
+        rep.run_one(h, &mut acc);
+        let mut one = spec.clone();
+        one.seed = replication_seed(spec.seed, h);
+        one.mc = None;
+        let (fresh, _) = run_executive(&one).unwrap();
+        assert_jobs_bit_identical(rep.jobs(), &fresh.jobs, &format!("{} h{h}", spec.name));
+        faulted += fresh.jobs.iter().filter(|j| j.faults > 0).count() as u64;
+    }
+    (rep.memo_stats(), faulted)
+}
+
+/// The fault-free job memo never changes a record: across the avionics
+/// grid's λ × hyperperiod axis, every pooled horizon (memo on) equals the
+/// observed path (memo off, fresh boxed policies) bit for bit, and every
+/// branch — memo hit, memo miss, faulted job — runs on every λ.
+#[test]
+fn fault_free_memo_is_bit_identical_to_fresh_policies() {
+    let sweep = ExecutiveSweepSpec::from_json(
+        &Json::parse(include_str!("../../../specs/avionics-trio-sweep.json")).unwrap(),
+    )
+    .unwrap();
+    let points = sweep.expand().unwrap();
+    assert_eq!(
+        points.len(),
+        6,
+        "λ {{2e-4, 5e-4, 1e-3}} × hyperperiods {{1, 2}}"
+    );
+    for spec in &points {
+        let ((hits, misses), faulted) = pooled_matches_fresh(spec, 64);
+        assert!(hits > 0, "{}: no memo hits", spec.name);
+        assert!(misses > 0, "{}: no memo misses", spec.name);
+        assert!(faulted > 0, "{}: no faulted job", spec.name);
+    }
+}
+
+/// The memo's exactness rests on every spec-built policy being
+/// deterministic and fully reset between jobs: check it for every scheme
+/// under every fault-process family.
+#[test]
+fn fault_free_memo_holds_for_every_scheme_and_fault_process() {
+    let lambda = 1.4e-3;
+    let faults = [
+        FaultSpec::Poisson { lambda },
+        FaultSpec::Weibull {
+            shape: 0.7,
+            scale: 700.0,
+        },
+        FaultSpec::Burst {
+            quiet_rate: 1e-4,
+            burst_rate: 2e-2,
+            mean_quiet_dwell: 5_000.0,
+            mean_burst_dwell: 500.0,
+        },
+        FaultSpec::Phased {
+            phases: vec![(4_000.0, 5e-4), (1_000.0, 5e-3)],
+            repeat: true,
+        },
+    ];
+    for tag in PolicySpec::TAGS {
+        for fault in &faults {
+            let mut spec = ExecutiveSpec::new(
+                format!("memo-{tag}"),
+                TaskSetSpec::implicit([
+                    ("a", 900.0, 4_000),
+                    ("b", 2_100.0, 8_000),
+                    ("c", 700.0, 2_000),
+                ]),
+            );
+            spec.faults = fault.clone();
+            spec.policy =
+                PolicyAssignment::Shared(PolicySpec::from_tag(tag, lambda, 3, 0).unwrap());
+            spec.hyperperiods = 2;
+            spec.seed = 31;
+            let ((hits, _), faulted) = pooled_matches_fresh(&spec, 32);
+            assert!(hits > 0 && faulted > 0, "{tag} × {fault:?}");
+        }
+    }
+}
+
+/// Both halves of the memo key matter. In a tight set, the second job of
+/// a busy period starts later whenever the first one faults, and with less
+/// slack it runs differently even when it sees no fault itself. With
+/// constrained deadlines, two tasks of different WCET meet the same
+/// relative deadline whenever one is released alone. Serving either from
+/// the other's run would change its record.
+#[test]
+fn fault_free_memo_keys_on_task_and_relative_deadline() {
+    let lambda = 1e-3;
+    let tight = TaskSetSpec::implicit([("first", 900.0, 2_500), ("second", 900.0, 2_500)]);
+    let mut constrained = TaskSetSpec::implicit([("slow", 900.0, 3_000), ("fast", 1_300.0, 2_000)]);
+    constrained.tasks[0].deadline = 2_000;
+    for (name, tasks) in [
+        ("memo-tight-duo", tight),
+        ("memo-shared-deadline", constrained),
+    ] {
+        let mut spec = ExecutiveSpec::new(name, tasks);
+        spec.faults = FaultSpec::Poisson { lambda };
+        spec.policy =
+            PolicyAssignment::Shared(PolicySpec::from_tag("a_d_s", lambda, 2, 0).unwrap());
+        spec.hyperperiods = 4;
+        spec.seed = 5;
+        let ((hits, misses), faulted) = pooled_matches_fresh(&spec, 64);
+        assert!(hits > 0 && misses > 0 && faulted > 0, "{name}");
+    }
+}
+
+/// The memo's reuse boundary is `first arrival >= memoized finish`: an
+/// arrival exactly at the finish is never consumed by the engine (it
+/// consumes arrivals strictly before an interval's end) nor carried to the
+/// next job (only arrivals strictly after the finish are), so the job is
+/// served from the memo. One ulp earlier the job must run and fault.
+#[test]
+fn memo_boundary_is_an_arrival_exactly_at_the_memoized_finish() {
+    let mut spec = eacp_spec::executive_preset("avionics-trio").expect("avionics-trio preset");
+    spec.faults = FaultSpec::Deterministic { times: Vec::new() };
+    spec.mc = None;
+    let (clean, _) = run_executive(&spec).unwrap();
+    // The first dispatched job: released at 0, started at 0.
+    let finish = clean
+        .jobs
+        .iter()
+        .find(|j| j.started == 0.0)
+        .expect("a job starts at t = 0")
+        .finished;
+    // The fixed schedule replays every horizon: horizon 0 fills the memo,
+    // horizon 1 probes it with the same arrival.
+    spec.mc = Some(ExecutiveMcSpec {
+        replications: 2,
+        threads: 1,
+        queue: None,
+    });
+    let ((clean_hits, _), clean_faulted) = pooled_matches_fresh(&spec, 2);
+    assert!(clean_hits > 0 && clean_faulted == 0);
+
+    spec.faults = FaultSpec::Deterministic {
+        times: vec![finish],
+    };
+    let ((hits, _), faulted) = pooled_matches_fresh(&spec, 2);
+    assert_eq!((hits, faulted), (clean_hits, 0), "arrival at the finish");
+
+    spec.faults = FaultSpec::Deterministic {
+        times: vec![f64::from_bits(finish.to_bits() - 1)],
+    };
+    let ((hits, _), faulted) = pooled_matches_fresh(&spec, 2);
+    assert_eq!(faulted, 2, "the struck job faults in both horizons");
+    assert!(hits < clean_hits, "one ulp before the finish: {hits} hits");
 }

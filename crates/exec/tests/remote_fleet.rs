@@ -8,11 +8,22 @@
 //!   rotation, the lease retry budget and the in-process fallback.
 //! * Transport errors carry full provenance: endpoint, lease attempt,
 //!   transport try, and protocol phase.
+//! * Server resources are bounded: connections past the cap are closed at
+//!   accept, idle connections are closed after the idle timeout, and the
+//!   server keeps answering bit-identically afterwards.
 
+// Wall-clock reads time how long the server takes to close a socket;
+// they never feed a simulated result (see clippy.toml on R1 scope).
+#![allow(clippy::disallowed_types)]
+
+use eacp_exec::remote::{
+    answer_request, read_frame, run_block_request, write_frame, IDLE_TIMEOUT, MAX_CONNECTIONS,
+};
 use eacp_exec::{Job, LocalRunner, QueueRunner, RemoteServer, RemoteWorker, Runner};
 use eacp_spec::{ExperimentSpec, McSpec, QueueSpec, SweepAxis, SweepSpec};
-use std::io::Read;
-use std::net::TcpListener;
+use std::io::{BufReader, Read};
+use std::net::{TcpListener, TcpStream};
+use std::time::{Duration, Instant};
 
 fn spec(reps: u64, seed: u64) -> ExperimentSpec {
     let mut spec = ExperimentSpec::paper_nominal();
@@ -179,4 +190,72 @@ fn remote_sweep_matches_sequential_sweep() {
     );
     let remote = eacp_exec::run_sweep_tiered(&sweep, None, &runner, true).unwrap();
     assert_eq!(remote, sequential, "grid bytes are location-independent");
+}
+
+/// Reads until the server closes `stream`; returns how long that took.
+fn wait_for_close(stream: &mut TcpStream, patience: Duration) -> Duration {
+    stream.set_read_timeout(Some(patience)).unwrap();
+    let start = Instant::now();
+    let mut byte = [0u8; 1];
+    match stream.read(&mut byte) {
+        Ok(0) => start.elapsed(),
+        // A reset is a close too.
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => start.elapsed(),
+        other => panic!("expected the server to close the connection, got {other:?}"),
+    }
+}
+
+/// Sends one `run_block` request on a fresh connection; `None` when the
+/// server closed it without answering (its connection slots were full).
+fn request_block(endpoint: &str, request: &str) -> Option<String> {
+    let stream = TcpStream::connect(endpoint).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = &stream;
+    write_frame(&mut writer, request).ok()?;
+    read_frame(&mut BufReader::new(&stream)).ok().flatten()
+}
+
+#[test]
+fn idle_and_excess_connections_are_closed_and_blocks_still_answer() {
+    let server = RemoteServer::bind("127.0.0.1:0").unwrap();
+    let endpoint = server.endpoint().to_owned();
+    // Occupy every connection slot with a client that never sends.
+    let mut idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(&endpoint).unwrap())
+        .collect();
+    let opened = Instant::now();
+    // One past the cap is closed at accept, long before the idle timeout.
+    let mut excess = TcpStream::connect(&endpoint).unwrap();
+    let refused_after = wait_for_close(&mut excess, IDLE_TIMEOUT * 2);
+    assert!(
+        refused_after < IDLE_TIMEOUT / 2,
+        "the connection past the cap took {refused_after:?} to close"
+    );
+    // The idle clients are closed once the idle timeout has passed.
+    for stream in &mut idle {
+        wait_for_close(stream, IDLE_TIMEOUT * 3);
+    }
+    let closed_after = opened.elapsed();
+    assert!(
+        closed_after >= IDLE_TIMEOUT / 2,
+        "idle connections closed after {closed_after:?}, before the idle timeout"
+    );
+    drop(idle);
+
+    // The same server still answers a block, byte for byte as computed
+    // in-process. (A slot frees just after its socket closes, so allow a
+    // few tries for the released slots to be counted.)
+    let request = run_block_request(&spec(96, 13), 32, 64);
+    let expected = answer_request(&request);
+    let answer = (0..50)
+        .find_map(|_| {
+            request_block(&endpoint, &request).or_else(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                None
+            })
+        })
+        .expect("the server answers again once idle connections are gone");
+    assert_eq!(answer, expected);
 }

@@ -168,8 +168,9 @@ fn batched_sampling_never_allocates_after_warmup() {
 
 /// The executive Monte-Carlo hot path: after warmup, one seeded horizon
 /// (fault-stream reset, per-task policy resets, a full hyperperiod of
-/// EDF jobs, the accumulator fold) must not allocate — the scratch job
-/// records, scenario template and policies are pooled in `replicator()`.
+/// EDF jobs, fault-free memo probes and hits, the accumulator fold) must
+/// not allocate — the scratch job records, scenario template, policies
+/// and memo are pooled in `replicator()`.
 fn executive_horizons_never_allocate_after_warmup() {
     for (fault_name, fault_spec) in fault_specs() {
         let lambda = 1.4e-3;
@@ -197,11 +198,13 @@ fn executive_horizons_never_allocate_after_warmup() {
         for r in 0..WARMUP {
             rep.run_one(r, &mut acc);
         }
+        let (warm_hits, _) = rep.memo_stats();
         let before = ALLOCATIONS.load(Ordering::SeqCst);
         for r in WARMUP..WARMUP + MEASURED {
             rep.run_one(r, &mut acc);
         }
         let after = ALLOCATIONS.load(Ordering::SeqCst);
+        let (hits, _) = rep.memo_stats();
         assert_eq!(
             after - before,
             0,
@@ -217,6 +220,12 @@ fn executive_horizons_never_allocate_after_warmup() {
             acc.faults > 0,
             "executive × faults {fault_name}: no faults over {} horizons",
             acc.horizons
+        );
+        // ... and the memo-hit path, which skips the engine entirely.
+        assert!(
+            hits > warm_hits,
+            "executive × faults {fault_name}: no fault-free memo hit in the measured \
+             horizons"
         );
     }
 }

@@ -6,13 +6,21 @@
 //! absolute deadline, builds a fresh checkpointing policy for it, and runs
 //! it to completion (or abort) in the [`eacp_sim`] executor. Energy and
 //! deadline misses are accumulated per task.
+//!
+//! Replication loops drive [`run_executive_pooled`] with a
+//! [`FaultFreeMemo`]: the outcome of a job that finished before its first
+//! fault arrival depends only on the task and its relative deadline, so a
+//! later job with the same key whose first arrival lands no earlier than
+//! the memoized finish reuses that outcome instead of re-simulating it.
+//! The observed entry points ([`run_executive`], [`run_executive_stream`])
+//! run without a memo and stream every engine event.
 
 use crate::TaskSet;
 use eacp_energy::DvsConfig;
 use eacp_faults::{DeterministicFaults, FaultProcess, PoissonProcess};
 use eacp_sim::{
     CheckpointCosts, Executor, ExecutorOptions, ExecutorScratch, NoopObserver, Observer, Policy,
-    Scenario, TaskSpec,
+    RunOutcome, Scenario, TaskSpec,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -148,9 +156,18 @@ where
 /// in place — no allocation per job — while the legacy closure path boxes
 /// a fresh policy each time. Either way the returned policy must be in its
 /// initial state, so both paths drive the executor identically.
+///
+/// The associated [`Policy`](PolicyProvider::Policy) type lets a pooled
+/// provider hand out its concrete policy type, so the executor's
+/// `plan`/`commit_window` calls monomorphize instead of dispatching
+/// through `dyn Policy`.
 pub trait PolicyProvider {
+    /// The policy type handed out per job (`dyn Policy` for boxed
+    /// providers).
+    type Policy: Policy + ?Sized;
+
     /// Returns the (freshly reset) policy for the next job of `task`.
-    fn policy_for_job(&mut self, task: usize) -> &mut dyn Policy;
+    fn policy_for_job(&mut self, task: usize) -> &mut Self::Policy;
 }
 
 /// Adapts the legacy `FnMut(usize) -> Box<dyn Policy>` factory to
@@ -162,10 +179,140 @@ struct FreshPolicies<MK> {
 }
 
 impl<MK: FnMut(usize) -> Box<dyn Policy>> PolicyProvider for FreshPolicies<MK> {
-    fn policy_for_job(&mut self, task: usize) -> &mut dyn Policy {
+    type Policy = dyn Policy;
+
+    fn policy_for_job(&mut self, task: usize) -> &mut Self::Policy {
         self.slot = Some((self.make)(task));
         // audit:allow(panic): the slot was filled on the line above.
         self.slot.as_deref_mut().expect("slot just filled")
+    }
+}
+
+/// Number of direct-mapped slots in a [`FaultFreeMemo`]. Power of two so
+/// the slot index is a mask. A block's fault-free jobs take one key per
+/// task and start offset, a few dozen at most for the paper's task sets.
+const MEMO_SLOTS: usize = 64;
+
+/// One memoized fault-free job.
+#[derive(Debug)]
+struct MemoEntry {
+    /// Exact key: the task index and the bit pattern of the relative
+    /// deadline the job ran under.
+    task: usize,
+    rel_deadline: u64,
+    /// The outcome of the run, which saw no fault before it finished.
+    outcome: RunOutcome,
+}
+
+const EMPTY_SLOT: Option<MemoEntry> = None;
+
+/// Whether a job finishing at `finish` (job-local time) ends before its
+/// first fault arrival `first`: the engine never consumes an arrival at or
+/// after the end of its last interval.
+#[inline]
+fn finished_before(first: Option<f64>, finish: f64) -> bool {
+    first.is_none_or(|t| t >= finish)
+}
+
+/// A fixed-capacity, direct-mapped, exact-key memo of fault-free job
+/// outcomes for [`run_executive_pooled`].
+///
+/// Key: `(task index, rel_deadline.to_bits())`. Value: the [`RunOutcome`]
+/// of a job that ran with no fault arrival before its finish time. Given
+/// the task and its relative deadline, such a run is fixed: the scenario
+/// is `TaskSpec::new(wcet, rel_deadline)` around the workload's costs and
+/// DVS table, and the provider hands out a freshly reset, deterministic
+/// policy (the same contract the analytic tier relies on). The engine
+/// consumes an arrival only when it lands strictly before the end of an
+/// interval, so a later job with the same key whose first arrival is at
+/// or after the memoized finish runs exactly as the memoized one did. (The
+/// engine's commit-window fast path does read the next arrival to choose
+/// its path, but it is bit-identical to the general path by
+/// construction.) A hit therefore returns the bit-identical outcome a
+/// fresh simulation would, and an entry is only ever written from a real
+/// run — the memo never simulates on its own.
+///
+/// A memo is valid for one workload: one [`ExecutiveParams`], scenario
+/// template, executor options and policy provider. Callers that switch
+/// workloads must start a new memo. The table is an inline array (no
+/// allocation, no hashing containers); colliding keys evict by
+/// overwrite.
+#[derive(Debug)]
+pub struct FaultFreeMemo {
+    slots: [Option<MemoEntry>; MEMO_SLOTS],
+    hits: u64,
+    misses: u64,
+}
+
+impl Default for FaultFreeMemo {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl FaultFreeMemo {
+    /// An empty memo.
+    pub const fn new() -> Self {
+        Self {
+            slots: [EMPTY_SLOT; MEMO_SLOTS],
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Lifetime (hits, misses): jobs served from the memo and jobs that
+    /// ran the engine — diagnostics and tests.
+    pub fn stats(&self) -> (u64, u64) {
+        (self.hits, self.misses)
+    }
+
+    /// The memoized outcome for `(task, rel_deadline)` if the job's first
+    /// fault arrival (job-local time, `None` for none) lands no earlier
+    /// than the memoized finish.
+    #[inline]
+    fn lookup(&mut self, task: usize, rel_deadline: f64, first: Option<f64>) -> Option<RunOutcome> {
+        let key = rel_deadline.to_bits();
+        match &self.slots[Self::index(task, key)] {
+            Some(e)
+                if e.task == task
+                    && e.rel_deadline == key
+                    && finished_before(first, e.outcome.finish_time) =>
+            {
+                self.hits += 1;
+                Some(e.outcome.clone())
+            }
+            _ => {
+                self.misses += 1;
+                None
+            }
+        }
+    }
+
+    /// Memoizes `outcome` when the run saw no fault arrival before it
+    /// finished.
+    #[inline]
+    fn record(&mut self, task: usize, rel_deadline: f64, first: Option<f64>, outcome: &RunOutcome) {
+        if finished_before(first, outcome.finish_time) {
+            let key = rel_deadline.to_bits();
+            self.slots[Self::index(task, key)] = Some(MemoEntry {
+                task,
+                rel_deadline: key,
+                outcome: outcome.clone(),
+            });
+        }
+    }
+
+    /// Direct-mapped slot for a key: a SplitMix64-style mix, masked to the
+    /// table size. It picks the slot only — matching is on the full key.
+    #[inline]
+    fn index(task: usize, rel_deadline: u64) -> usize {
+        let mut x = (task as u64)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(rel_deadline);
+        x ^= x >> 31;
+        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^= x >> 29;
+        (x as usize) & (MEMO_SLOTS - 1)
     }
 }
 
@@ -288,6 +435,7 @@ where
         &mut policies,
         observer,
         &mut scratch,
+        None,
     );
     scratch.into_report()
 }
@@ -313,18 +461,25 @@ pub fn scenario_template(params: &ExecutiveParams<'_>) -> Scenario {
 /// `scratch` pools every buffer including the engine scratch. The job log
 /// is left in [`ExecutiveScratch::jobs`], release-ordered.
 ///
+/// With `memo`, jobs that finish before their first fault arrival are
+/// served from (and recorded into) the [`FaultFreeMemo`]; their records
+/// are bit-identical, but a served job emits no engine events, so
+/// observed runs pass `None`.
+///
 /// # Panics
 ///
 /// Panics if `params.hyperperiods == 0`.
-pub fn run_executive_pooled<FP, O>(
+pub fn run_executive_pooled<FP, PP, O>(
     params: &ExecutiveParams<'_>,
     scenario: &mut Scenario,
     faults: &mut FP,
-    policies: &mut dyn PolicyProvider,
+    policies: &mut PP,
     observer: &mut O,
     scratch: &mut ExecutiveScratch,
+    mut memo: Option<&mut FaultFreeMemo>,
 ) where
     FP: FaultProcess + ?Sized,
+    PP: PolicyProvider + ?Sized,
     O: Observer + ?Sized,
 {
     assert!(params.hyperperiods > 0, "at least one hyperperiod");
@@ -424,7 +579,6 @@ pub fn run_executive_pooled<FP, O>(
             });
             continue;
         }
-        scenario.task = TaskSpec::new(task.wcet_cycles, rel_deadline);
         // Faults inside this job's window, re-based to job-local time:
         // first the carried-over arrivals earlier jobs never reached
         // (those before `started` landed in idle time and strike nothing),
@@ -454,11 +608,25 @@ pub fn run_executive_pooled<FP, O>(
         // `carry` unsorted, so restore the order the executor expects.
         // (f64 keys: unstable sort is bit-identical to stable.)
         local.sort_unstable_by(f64::total_cmp);
-        window.reload(local);
-        let policy = policies.policy_for_job(job.task);
-        let out = Executor::new(scenario)
-            .with_options(params.options)
-            .run_with_scratch(exec, policy, window, observer);
+        let first = local.first().copied();
+        let served = memo
+            .as_mut()
+            .and_then(|m| m.lookup(job.task, rel_deadline, first));
+        let out = match served {
+            Some(out) => out,
+            None => {
+                scenario.task = TaskSpec::new(task.wcet_cycles, rel_deadline);
+                window.reload(local);
+                let policy = policies.policy_for_job(job.task);
+                let out = Executor::new(scenario)
+                    .with_options(params.options)
+                    .run_with_scratch(exec, policy, window, observer);
+                if let Some(m) = memo.as_mut() {
+                    m.record(job.task, rel_deadline, first, &out);
+                }
+                out
+            }
+        };
 
         // Arrivals strictly after the finish were never experienced:
         // hand them to subsequent jobs.
@@ -645,7 +813,9 @@ mod tests {
         };
         struct PooledAdaptive(Vec<Adaptive>);
         impl PolicyProvider for PooledAdaptive {
-            fn policy_for_job(&mut self, task: usize) -> &mut dyn Policy {
+            type Policy = Adaptive;
+
+            fn policy_for_job(&mut self, task: usize) -> &mut Adaptive {
                 self.0[task] = Adaptive::dvs_scp(2e-3, 2);
                 &mut self.0[task]
             }
@@ -654,16 +824,9 @@ mod tests {
         let mut scenario = scenario_template(&params);
         let mut provider =
             PooledAdaptive(vec![Adaptive::dvs_scp(2e-3, 2), Adaptive::dvs_scp(2e-3, 2)]);
-        for seed in [42u64, 43, 44] {
-            let mut faults = PoissonProcess::new(2e-3, rand::rngs::StdRng::seed_from_u64(seed));
-            run_executive_pooled(
-                &params,
-                &mut scenario,
-                &mut faults,
-                &mut provider,
-                &mut NoopObserver,
-                &mut scratch,
-            );
+        // One memo across every horizon, as a per-block replicator keeps it.
+        let mut memo = FaultFreeMemo::new();
+        for seed in [42u64, 43, 44, 45, 46, 47, 48, 49] {
             let mut faults = PoissonProcess::new(2e-3, rand::rngs::StdRng::seed_from_u64(seed));
             let reference = run_executive_stream(
                 &params,
@@ -671,14 +834,28 @@ mod tests {
                 |_| Box::new(Adaptive::dvs_scp(2e-3, 2)),
                 &mut NoopObserver,
             );
-            assert_eq!(scratch.jobs(), reference.jobs.as_slice(), "seed {seed}");
-            assert!(scratch
-                .jobs()
-                .iter()
-                .zip(reference.jobs.iter())
-                .all(|(a, b)| a.energy.to_bits() == b.energy.to_bits()
-                    && a.finished.to_bits() == b.finished.to_bits()));
+            for memo in [None, Some(&mut memo)] {
+                let mut faults = PoissonProcess::new(2e-3, rand::rngs::StdRng::seed_from_u64(seed));
+                run_executive_pooled(
+                    &params,
+                    &mut scenario,
+                    &mut faults,
+                    &mut provider,
+                    &mut NoopObserver,
+                    &mut scratch,
+                    memo,
+                );
+                assert_eq!(scratch.jobs(), reference.jobs.as_slice(), "seed {seed}");
+                assert!(scratch
+                    .jobs()
+                    .iter()
+                    .zip(reference.jobs.iter())
+                    .all(|(a, b)| a.energy.to_bits() == b.energy.to_bits()
+                        && a.finished.to_bits() == b.finished.to_bits()));
+            }
         }
+        let (hits, misses) = memo.stats();
+        assert!(hits > 0 && misses > 0, "memo hits {hits}, misses {misses}");
     }
 
     #[test]
