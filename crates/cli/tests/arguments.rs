@@ -34,10 +34,11 @@ fn commands_without_positionals_name_a_stray_argument() {
     assert_rejects("serve --listen 127.0.0.1:0 extra", "extra");
     assert_rejects("analyze extra", "extra");
     assert_rejects("feasibility --tasks a:100:1000 extra", "extra");
-    assert_rejects("bench extra", "extra");
     assert_rejects("presets extra", "extra");
     let err = dispatch(args("mc stray")).unwrap_err();
     assert!(err.contains("takes no positional arguments"), "{err}");
+    let err = dispatch(args("bench")).unwrap_err();
+    assert!(err.contains("unknown command \"bench\""), "{err}");
 }
 
 #[test]

@@ -63,7 +63,7 @@ pub trait Observer {
 ///
 /// Every callback is an empty default method, so monomorphized engine code
 /// using `NoopObserver` optimizes to exactly the unobserved execution loop
-/// (guarded by the `observer_overhead` bench in `eacp-bench`).
+/// (`perfbench` measures its `sim.rep_us` under `NoopObserver`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoopObserver;
 

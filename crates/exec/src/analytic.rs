@@ -21,8 +21,8 @@
 //! The tier sits at the orchestration layer (`eacp_exec::run`, the sweep
 //! executors, the store's cache-or-compute path), never inside
 //! [`crate::Runner::run`]: runners keep their honest per-replication
-//! semantics, which is what the bench harness and the conformance test
-//! measure against.
+//! semantics, which is what the conformance test checks the tier
+//! against.
 
 use crate::job::Job;
 use eacp_sim::{NoopObserver, Summary};

@@ -110,16 +110,16 @@ impl Job {
     /// `Box<dyn Policy>` / `Box<dyn FaultProcess>` per replication,
     /// dispatched virtually, with no instance pooling.
     ///
-    /// This is the trait-object path the pooled enums replaced. It exists
-    /// for measurement and proof: `eacp bench` times it against the
-    /// pooled path, and the golden bit-identity tests pin both paths to
+    /// This is the trait-object path the pooled enums replaced. It stays as
+    /// the reference the pooled path is checked against: the golden
+    /// bit-identity tests and the analytic-tier tests pin both paths to
     /// the same `Summary` for every scheme × fault process.
     ///
     /// # Errors
     ///
     /// Fails on the same invalid specs as [`Job::from_spec`].
     // audit:setup: the boxed escape hatch allocates by design — that is
-    // the path the pooled enums are benchmarked against.
+    // the reference path the pooled enums are checked against.
     pub fn from_spec_boxed(spec: &ExperimentSpec) -> Result<Self, SpecError> {
         let policy_spec = spec.policy;
         let fault_spec = spec.faults.clone();

@@ -247,7 +247,7 @@ fn accept_loop(listener: TcpListener, stop: &AtomicBool) {
 }
 
 /// A background block-execution server: the in-process form of
-/// `eacp serve`, used by tests and the bench harness. Binds, accepts on a
+/// `eacp serve`, used by tests and the benchmark. Binds, accepts on a
 /// background thread, and answers `run_block`/`ping` requests until
 /// [`shutdown`](RemoteServer::shutdown) (or drop).
 pub struct RemoteServer {

@@ -6,7 +6,6 @@
 //! sweep --kind optimizer             # paper closed-form vs exact num_SCP
 //! sweep --kind no-dvs                # paper §2 (Fig. 3): adaptive schemes
 //!                                    # at a fixed speed vs static baselines
-//! sweep --spec sweep.json            # any user-provided SweepSpec grid
 //! ```
 //!
 //! Optional: `--reps N` (default 2000), `--seed S`.
@@ -223,95 +222,58 @@ fn sweep_no_dvs(reps: u64, seed: u64, emit: bool) {
     }
 }
 
-/// Runs an arbitrary user-provided [`SweepSpec`] document.
-fn sweep_from_file(path: &str, reps_override: Option<u64>, emit: bool) {
-    let mut sweep = SweepSpec::load(std::path::Path::new(path)).unwrap_or_else(|e| {
-        eprintln!("sweep: {e}");
-        std::process::exit(2);
-    });
-    if let Some(reps) = reps_override {
-        sweep.base.mc.replications = reps;
-    }
-    let specs = sweep.expand().unwrap_or_else(|e| {
-        eprintln!("sweep: {e}");
-        std::process::exit(2);
-    });
-    if emit {
-        emit_specs(specs.iter());
-        return;
-    }
-    println!("experiment,P,E,faults_mean");
-    for spec in &specs {
-        let s = run_spec(spec);
-        println!(
-            "{},{:.4},{:.0},{:.2}",
-            spec.name,
-            s.p_timely(),
-            s.mean_energy_timely(),
-            s.faults.mean(),
-        );
-    }
-}
-
 fn emit_specs<'a, I: Iterator<Item = &'a ExperimentSpec>>(specs: I) {
     let docs: Vec<eacp_spec::Json> = specs.map(ToJson::to_json).collect();
     print!("{}", eacp_spec::Json::Array(docs).pretty());
 }
 
+/// Reports a bad command line and exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("sweep: {msg}");
+    std::process::exit(2);
+}
+
+/// The value following `flag`, or a usage error when there is none.
+fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| usage_error(&format!("missing value for {flag}")))
+}
+
+/// The count following `flag`, or a usage error when it is missing or not
+/// a non-negative integer.
+fn count(args: &mut impl Iterator<Item = String>, flag: &str) -> u64 {
+    let text = value(args, flag);
+    text.parse()
+        .unwrap_or_else(|e| usage_error(&format!("bad {flag} {text:?}: {e}")))
+}
+
 fn main() {
     let mut kind = String::from("store-compare-ratio");
     let mut reps = 2000u64;
-    let mut reps_given = false;
     let mut seed = 77u64;
-    let mut spec_path: Option<String> = None;
     let mut emit = false;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--kind" => kind = it.next().expect("missing value for --kind"),
-            "--spec" => spec_path = Some(it.next().expect("missing value for --spec")),
+            "--kind" => kind = value(&mut it, "--kind"),
             "--emit-spec" => emit = true,
-            "--reps" => {
-                reps = it
-                    .next()
-                    .expect("missing value for --reps")
-                    .parse()
-                    .expect("bad --reps");
-                reps_given = true;
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .expect("missing value for --seed")
-                    .parse()
-                    .expect("bad --seed")
-            }
+            "--reps" => reps = count(&mut it, "--reps"),
+            "--seed" => seed = count(&mut it, "--seed"),
             "--help" | "-h" => {
                 println!(
                     "usage: sweep --kind store-compare-ratio|lambda|optimizer|no-dvs [--reps N] [--seed S]\n\
-                     \x20      sweep --spec sweep.json [--reps N]\n\
                      \x20      (add --emit-spec to print the expanded spec documents instead of running)"
                 );
                 return;
             }
-            other => {
-                eprintln!("sweep: unknown flag {other:?}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown flag {other:?}")),
         }
-    }
-    if let Some(path) = spec_path {
-        sweep_from_file(&path, reps_given.then_some(reps), emit);
-        return;
     }
     match kind.as_str() {
         "store-compare-ratio" => sweep_store_compare_ratio(reps, seed, emit),
         "lambda" => sweep_lambda(reps, seed, emit),
         "optimizer" => sweep_optimizer(reps, seed, emit),
         "no-dvs" => sweep_no_dvs(reps, seed, emit),
-        other => {
-            eprintln!("sweep: unknown kind {other:?}");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown kind {other:?}")),
     }
 }

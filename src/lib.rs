@@ -22,7 +22,7 @@
 //! * [`experiments`] — the harness regenerating the paper's Tables 1–4;
 //! * [`spec`] — declarative, serializable experiment descriptions: the
 //!   JSON layer driving the CLI, the experiments harness, the examples
-//!   and the benches. `spec + seed = identical results`.
+//!   and the benchmark. `spec + seed = identical results`.
 //!
 //! # Quickstart
 //!
