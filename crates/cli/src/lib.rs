@@ -24,19 +24,19 @@
 //!   hyperperiods and emit an [`eacp_spec::ExecutiveRunReport`]; with
 //!   `--mc` run N seeded horizons through the replication engine
 //!   (mergeable [`eacp_exec::ExecutiveSummary`], store-cacheable), and
-//!   with `--sweep grid.json` expand an [`ExecutiveSweepSpec`] grid with
-//!   the same shard/store workflow as `sweep`;
+//!   with `--sweep grid.json` expand an [`eacp_spec::ExecutiveSweepSpec`]
+//!   grid with the same shard/store workflow as `sweep`;
 //! * `store` — inspect (`status`), prune (`gc`) and audit (`verify`) the
 //!   content-addressed result store that `run`/`mc`/`sweep` consult with
 //!   `--store DIR` (or `$EACP_STORE`);
 //! * `presets` — list the named experiment presets.
 //!
 //! Every simulation subcommand is spec-driven: `--spec file.json` loads an
-//! [`ExperimentSpec`] (`sweep` loads a [`SweepSpec`]), `--preset name`
-//! loads a named preset, and bare flags desugar into a spec. Flags given
-//! *alongside* `--spec`/`--preset` override the loaded document, so
-//! `eacp mc --preset table1-a --lambda 2e-3` is the preset at a different
-//! fault rate. `--emit-spec` prints the effective spec instead of running
+//! [`ExperimentSpec`] (`sweep` loads an [`eacp_spec::SweepSpec`]),
+//! `--preset name` loads a named preset, and bare flags desugar into a
+//! spec. Flags given *alongside* `--spec`/`--preset` override the loaded
+//! document, so `eacp mc --preset table1-a --lambda 2e-3` is the preset
+//! at a different fault rate. `--emit-spec` prints the effective spec instead of running
 //! it — the exact JSON any other consumer (the experiments harness, CI,
 //! a remote executor) reproduces bit for bit.
 //!
@@ -54,7 +54,7 @@ use eacp_core::policies::PolicyKind;
 use eacp_energy::DvsConfig;
 use eacp_exec::{
     coverage_dir, merge_dir, render_executive_csv, run_sweep_queued_tiered, run_sweep_tiered,
-    runner_for, GridReport, PaperRef, QueueObserver, QueueStatus, ShardId, SweepGrid, SweepPoint,
+    runner_for, GridReport, PaperRef, QueueObserver, QueueStatus, ShardId, SweepPoint,
 };
 use eacp_rtsched::feasibility::{
     edf_density, k_fault_wcet, minimum_feasible_speed, rm_response_times,
@@ -63,9 +63,9 @@ use eacp_rtsched::TaskSet;
 use eacp_sim::{Executor, Policy, TraceRecorder};
 use eacp_spec::{
     executive_preset, executive_preset_names, preset, preset_names, CostsSpec, ExecSpec,
-    ExecutiveSpec, ExecutiveSweepSpec, ExperimentSpec, FaultSpec, FromJson, Json, McSpec,
-    PeriodicTaskSpec, PolicyAssignment, PolicySpec, QueueSpec, RunReport, ScenarioSpec, SpecError,
-    SweepSpec, TaskSetSpec, ToJson, WorkSpec,
+    ExecutiveSpec, ExperimentSpec, FaultSpec, FromJson, Json, McSpec, PeriodicTaskSpec,
+    PolicyAssignment, PolicySpec, QueueSpec, RunReport, ScenarioSpec, Sweep, TaskSetSpec, ToJson,
+    WorkSpec,
 };
 use eacp_store::{
     run_cached_single, run_cached_tiered, run_sweep_cached_tiered, store_coverage, verify_store,
@@ -827,14 +827,15 @@ pub fn cmd_mc(o: &Options) -> Result<String, String> {
 
 /// `eacp sweep`: expand a sweep document and run every grid point.
 pub fn cmd_sweep(o: &Options) -> Result<String, String> {
-    cmd_grid::<SweepSpec>(o)
+    cmd_grid::<ExperimentSpec>(o)
 }
 
 /// The per-kind half of the sweep driver shared by `eacp sweep` and
-/// `eacp executive --sweep`: where the grid document comes from, which
-/// flags override it, and how its points render. Everything else —
-/// sharding, `--emit-spec`, store, queue and output — is [`cmd_grid`].
-trait SweepCommand: SweepGrid<Point: StorePoint> {
+/// `eacp executive --sweep`, implemented on the point kind: where the grid
+/// document comes from, which flags override it, and how its points
+/// render. Everything else — sharding, `--emit-spec`, store, queue and
+/// output — is [`cmd_grid`].
+trait SweepCommand: StorePoint {
     /// The command as named in error messages.
     const COMMAND: &'static str;
     /// Experiment-shaping flags: the grid's axes own those, so passing
@@ -847,28 +848,23 @@ trait SweepCommand: SweepGrid<Point: StorePoint> {
 
     /// The grid document path, rejecting options that conflict with it.
     fn document(o: &Options) -> Result<&str, String>;
-    /// Loads a grid document.
-    fn load_grid(path: &Path) -> Result<Self, SpecError>;
-    /// Applies the base-level Monte-Carlo overrides (`--reps`, `--seed`,
-    /// `--threads`).
+    /// Applies the Monte-Carlo overrides (`--reps`, `--seed`,
+    /// `--threads`) to a grid's base point.
     fn override_mc(&mut self, o: &Options);
     /// Worker threads of the default local runner.
     fn threads(&self) -> usize;
     /// Records the queue choice in an emitted point spec.
-    fn set_queue(point: &mut Self::Point, queue: QueueSpec);
+    fn set_queue(&mut self, queue: QueueSpec);
     /// The text table; `detail` annotates the header line.
     fn table(grid: &GridReport<Self>, detail: &str) -> String;
     /// Report rows (grid points, then standalone reports) as CSV.
     fn csv(rows: &[ReportRow<Self>]) -> String;
 }
 
-/// The report type of a grid kind's points.
-type ReportOf<G> = <<G as SweepGrid>::Point as SweepPoint>::Report;
-
 /// A CSV row: a report, with its grid index when it came from a grid.
-type ReportRow<G> = (Option<usize>, ReportOf<G>);
+type ReportRow<P> = (Option<usize>, <P as SweepPoint>::Report);
 
-impl SweepCommand for SweepSpec {
+impl SweepCommand for ExperimentSpec {
     const COMMAND: &'static str = "sweep";
     const SHAPE_FLAGS: &'static [&'static str] = &[
         "--scheme",
@@ -887,28 +883,24 @@ impl SweepCommand for SweepSpec {
         Ok(&o.spec)
     }
 
-    fn load_grid(path: &Path) -> Result<Self, SpecError> {
-        Self::load(path)
-    }
-
     fn override_mc(&mut self, o: &Options) {
         if o.has("--reps") {
-            self.base.mc.replications = o.reps;
+            self.mc.replications = o.reps;
         }
         if o.has("--seed") {
-            self.base.mc.seed = o.seed;
+            self.mc.seed = o.seed;
         }
         if o.has("--threads") {
-            self.base.mc.threads = o.threads;
+            self.mc.threads = o.threads;
         }
     }
 
     fn threads(&self) -> usize {
-        self.base.mc.threads
+        self.mc.threads
     }
 
-    fn set_queue(point: &mut ExperimentSpec, queue: QueueSpec) {
-        point.executor.queue = Some(queue);
+    fn set_queue(&mut self, queue: QueueSpec) {
+        self.executor.queue = Some(queue);
     }
 
     fn table(grid: &GridReport<Self>, detail: &str) -> String {
@@ -939,7 +931,7 @@ impl SweepCommand for SweepSpec {
     }
 }
 
-impl SweepCommand for ExecutiveSweepSpec {
+impl SweepCommand for ExecutiveSpec {
     const COMMAND: &'static str = "executive --sweep";
     const SHAPE_FLAGS: &'static [&'static str] = &[
         "--scheme",
@@ -962,25 +954,21 @@ impl SweepCommand for ExecutiveSweepSpec {
         Ok(&o.sweep)
     }
 
-    fn load_grid(path: &Path) -> Result<Self, SpecError> {
-        Self::load(path)
-    }
-
     fn override_mc(&mut self, o: &Options) {
-        override_executive_mc(&mut self.base, o);
+        override_executive_mc(self, o);
         if o.has("--seed") {
-            self.base.seed = o.seed;
+            self.seed = o.seed;
         }
     }
 
     fn threads(&self) -> usize {
-        self.base.mc_or_default().threads
+        self.mc_or_default().threads
     }
 
-    fn set_queue(point: &mut ExecutiveSpec, queue: QueueSpec) {
-        let mut mc = point.mc_or_default();
+    fn set_queue(&mut self, queue: QueueSpec) {
+        let mut mc = self.mc_or_default();
         mc.queue = Some(queue);
-        point.mc = Some(mc);
+        self.mc = Some(mc);
     }
 
     fn table(grid: &GridReport<Self>, detail: &str) -> String {
@@ -1032,18 +1020,18 @@ fn override_executive_mc(spec: &mut ExecutiveSpec, o: &Options) {
 /// leased through a work queue or the remote fleet, or run locally — then
 /// write the document (`--out`), print the point reports (`--json`) or
 /// render the text table.
-fn cmd_grid<G: SweepCommand>(o: &Options) -> Result<String, String> {
-    let path = G::document(o)?;
-    for flag in G::SHAPE_FLAGS {
+fn cmd_grid<P: SweepCommand>(o: &Options) -> Result<String, String> {
+    let path = P::document(o)?;
+    for flag in P::SHAPE_FLAGS {
         if o.has(flag) {
             return Err(format!(
                 "{}: {flag} cannot override a sweep document — edit the base spec or its axes",
-                G::COMMAND
+                P::COMMAND
             ));
         }
     }
-    let mut sweep = G::load_grid(Path::new(path)).map_err(|e| e.to_string())?;
-    sweep.override_mc(o);
+    let mut sweep = Sweep::<P>::load(Path::new(path)).map_err(|e| e.to_string())?;
+    sweep.base.override_mc(o);
     let shard = if o.shard.is_empty() {
         None
     } else {
@@ -1051,12 +1039,12 @@ fn cmd_grid<G: SweepCommand>(o: &Options) -> Result<String, String> {
     };
     let queue = o.queue.then(|| queue_spec_of(o));
     if o.emit_spec {
-        let mut specs = sweep.points().map_err(|e| e.to_string())?;
+        let mut specs = sweep.expand().map_err(|e| e.to_string())?;
         if let Some(q) = &queue {
             // Emitted point specs must reproduce the scheduling choice,
             // exactly as `mc --queue --emit-spec` records it.
             for spec in &mut specs {
-                G::set_queue(spec, q.clone());
+                spec.set_queue(q.clone());
             }
         }
         let range = ShardId::range_of(shard, specs.len());
@@ -1064,9 +1052,9 @@ fn cmd_grid<G: SweepCommand>(o: &Options) -> Result<String, String> {
         return Ok(Json::Array(docs).pretty());
     }
     let store = resolve_store(o)?;
-    let runner = runner_for(queue.as_ref(), sweep.threads()).map_err(|e| e.to_string())?;
+    let runner = runner_for(queue.as_ref(), sweep.base.threads()).map_err(|e| e.to_string())?;
     let fleet = queue.as_ref().map_or(0, |q| q.endpoints.len());
-    let queue_points = G::QUEUE_POINTS && o.queue && fleet == 0;
+    let queue_points = P::QUEUE_POINTS && o.queue && fleet == 0;
     let progress = QueueProgress::default();
     let counters = StoreCounters::new();
     let analytic = !o.no_analytic;
@@ -1130,7 +1118,7 @@ fn cmd_grid<G: SweepCommand>(o: &Options) -> Result<String, String> {
     let shard_note = shard.map_or_else(String::new, |s| {
         format!(", shard {s}: {} points", grid.points.len())
     });
-    Ok(G::table(&grid, &format!("{shard_note}{queue_note}")))
+    Ok(P::table(&grid, &format!("{shard_note}{queue_note}")))
 }
 
 /// Work-queue telemetry accumulated across the pool's threads; rendered
@@ -1195,9 +1183,9 @@ pub fn cmd_queue(o: &Options) -> Result<String, String> {
                 .ok_or("queue status: missing report directory")?;
             let dir = Path::new(dir);
             let cov = if dir_has_executive_reports(dir)? {
-                coverage_dir::<ExecutiveSweepSpec>(dir)
+                coverage_dir::<ExecutiveSpec>(dir)
             } else {
-                coverage_dir::<SweepSpec>(dir)
+                coverage_dir::<ExperimentSpec>(dir)
             }
             .map_err(|e| e.to_string())?;
             let mut out = format!(
@@ -1255,9 +1243,9 @@ pub fn cmd_store(o: &Options) -> Result<String, String> {
                     std::fs::read_to_string(&o.spec).map_err(|e| format!("{}: {e}", o.spec))?;
                 let json = Json::parse(&text).map_err(|e| format!("{}: {e}", o.spec))?;
                 let cov = if json_is_executive_sweep(&json) {
-                    grid_store_coverage::<ExecutiveSweepSpec>(o, &backend, &json)?
+                    grid_store_coverage::<ExecutiveSpec>(o, &backend, &json)?
                 } else {
-                    grid_store_coverage::<SweepSpec>(o, &backend, &json)?
+                    grid_store_coverage::<ExperimentSpec>(o, &backend, &json)?
                 };
                 out.push_str(&format!(
                     "sweep {:?}: {} grid points\n",
@@ -1309,13 +1297,13 @@ pub fn cmd_store(o: &Options) -> Result<String, String> {
 /// keyed by (spec hash, seed, replications), so coverage must be asked
 /// about the same Monte-Carlo block the sweep ran with — the sweep's
 /// overrides apply here too.
-fn grid_store_coverage<G: SweepCommand>(
+fn grid_store_coverage<P: SweepCommand>(
     o: &Options,
     backend: &FsBackend,
     json: &Json,
 ) -> Result<StoreCoverage, String> {
-    let mut sweep = G::from_json(json).map_err(|e| format!("{}: {e}", o.spec))?;
-    sweep.override_mc(o);
+    let mut sweep = Sweep::<P>::from_json(json).map_err(|e| format!("{}: {e}", o.spec))?;
+    sweep.base.override_mc(o);
     store_coverage(backend, &sweep).map_err(|e| e.to_string())
 }
 
@@ -1353,9 +1341,9 @@ pub fn cmd_merge(o: &Options) -> Result<String, String> {
         .ok_or("merge: missing report directory")?;
     let dir = Path::new(dir);
     let (text, points) = if dir_has_executive_reports(dir)? {
-        merged_text::<ExecutiveSweepSpec>(dir)
+        merged_text::<ExecutiveSpec>(dir)
     } else {
-        merged_text::<SweepSpec>(dir)
+        merged_text::<ExperimentSpec>(dir)
     }?;
     if o.out.is_empty() {
         return Ok(text);
@@ -1365,8 +1353,8 @@ pub fn cmd_merge(o: &Options) -> Result<String, String> {
 }
 
 /// The merged grid document of a collection directory and its point count.
-fn merged_text<G: SweepGrid>(dir: &Path) -> Result<(String, usize), String> {
-    let grid = merge_dir::<G>(dir).map_err(|e| e.to_string())?;
+fn merged_text<P: SweepPoint>(dir: &Path) -> Result<(String, usize), String> {
+    let grid = merge_dir::<P>(dir).map_err(|e| e.to_string())?;
     Ok((grid.to_json().pretty(), grid.points.len()))
 }
 
@@ -1380,9 +1368,9 @@ pub fn cmd_csv(o: &Options) -> Result<String, String> {
         .ok_or("csv: missing report directory")?;
     let dir = Path::new(dir);
     let (csv, rows) = if dir_has_executive_reports(dir)? {
-        csv_text::<ExecutiveSweepSpec>(dir)
+        csv_text::<ExecutiveSpec>(dir)
     } else {
-        csv_text::<SweepSpec>(dir)
+        csv_text::<ExperimentSpec>(dir)
     }?;
     if o.out.is_empty() {
         return Ok(csv);
@@ -1392,13 +1380,13 @@ pub fn cmd_csv(o: &Options) -> Result<String, String> {
 }
 
 /// The CSV matrix of a collection directory and its row count.
-fn csv_text<G: SweepCommand>(dir: &Path) -> Result<(String, usize), String> {
-    let rows = load_report_rows::<G>(dir)?;
-    Ok((G::csv(&rows), rows.len()))
+fn csv_text<P: SweepCommand>(dir: &Path) -> Result<(String, usize), String> {
+    let rows = load_report_rows::<P>(dir)?;
+    Ok((P::csv(&rows), rows.len()))
 }
 
 /// Loads every `.json` report document under `dir` into CSV rows: sweep
-/// report documents of grid kind `G` contribute their grid points (sorted
+/// report documents of point kind `P` contribute their grid points (sorted
 /// by index), standalone run reports (`mc --json`, `executive --mc
 /// --json`) follow without an index.
 ///
@@ -1409,20 +1397,20 @@ fn csv_text<G: SweepCommand>(dir: &Path) -> Result<(String, usize), String> {
 // The map keys duplicate-detection paths; nothing iterates it, so hash
 // order cannot leak into output (see clippy.toml on R1 scope).
 #[allow(clippy::disallowed_types)]
-fn load_report_rows<G: SweepGrid>(dir: &Path) -> Result<Vec<ReportRow<G>>, String> {
+fn load_report_rows<P: SweepPoint>(dir: &Path) -> Result<Vec<ReportRow<P>>, String> {
     let paths = eacp_exec::list_report_files(dir).map_err(|e| e.to_string())?;
-    let mut indexed: Vec<(usize, ReportOf<G>)> = Vec::new();
+    let mut indexed: Vec<(usize, P::Report)> = Vec::new();
     let mut seen: std::collections::HashMap<usize, std::path::PathBuf> =
         std::collections::HashMap::new();
-    let mut loose: Vec<ReportOf<G>> = Vec::new();
+    let mut loose: Vec<P::Report> = Vec::new();
     for path in &paths {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let json = eacp_spec::Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         // Dispatch on the document's shape so a malformed field surfaces
         // its real parse error instead of a generic "not a report".
         if json.get("points").is_some() || json.get("sweep").is_some() {
-            let grid = GridReport::<G>::from_json(&json).map_err(|e| {
-                format!("{}: invalid {} document: {e}", path.display(), G::DOCUMENT)
+            let grid = GridReport::<P>::from_json(&json).map_err(|e| {
+                format!("{}: invalid {} document: {e}", path.display(), P::DOCUMENT)
             })?;
             for p in grid.points {
                 if let Some(first) = seen.insert(p.index, path.clone()) {
@@ -1437,7 +1425,7 @@ fn load_report_rows<G: SweepGrid>(dir: &Path) -> Result<Vec<ReportRow<G>>, Strin
                 indexed.push((p.index, p.report));
             }
         } else if json.get("spec").is_some() {
-            let report = ReportOf::<G>::from_json(&json)
+            let report = P::Report::from_json(&json)
                 .map_err(|e| format!("{}: invalid run report: {e}", path.display()))?;
             loose.push(report);
         } else {
@@ -1597,12 +1585,7 @@ pub fn cmd_table(o: &Options) -> Result<String, String> {
         "4" => TableId::Table4,
         other => return Err(format!("unknown table {other:?}")),
     };
-    let result = eacp_experiments::run_table_with(
-        id,
-        o.reps,
-        o.seed,
-        ExecSpec::paper().build().map_err(|e| e.to_string())?,
-    );
+    let result = eacp_experiments::run_table(id, o.reps, o.seed, ExecSpec::paper());
     if o.json {
         return Ok(eacp_experiments::render::to_json(&result));
     }
@@ -1833,12 +1816,13 @@ pub fn cmd_feasibility(o: &Options) -> Result<String, String> {
 /// same sweep driver as `eacp sweep` ([`cmd_grid`]).
 pub fn cmd_executive(o: &Options) -> Result<String, String> {
     if o.has("--endpoints") {
-        // The remote protocol ships spec-built replication jobs; executive
-        // horizons run in-process only (their queue leases whole points).
+        // The remote protocol ships single-task specs only. Spec files
+        // are checked by `ExecutiveMcSpec::validate`; the flag is checked
+        // here because `--sweep` hands it straight to `runner_for`.
         return Err("--endpoints is not supported for executive workloads".to_owned());
     }
     if !o.sweep.is_empty() {
-        return cmd_grid::<ExecutiveSweepSpec>(o);
+        return cmd_grid::<ExecutiveSpec>(o);
     }
     if o.mc {
         return cmd_executive_mc(o);
@@ -1893,7 +1877,7 @@ fn cmd_executive_mc(o: &Options) -> Result<String, String> {
     let mut spec = executive_spec(o)?;
     override_executive_mc(&mut spec, o);
     if o.queue {
-        ExecutiveSweepSpec::set_queue(&mut spec, queue_spec_of(o));
+        spec.set_queue(queue_spec_of(o));
     }
     spec.mc = Some(spec.mc_or_default());
     spec.validate().map_err(|e| e.to_string())?;

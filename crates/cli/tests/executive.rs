@@ -162,3 +162,26 @@ fn executive_json_is_deterministic_across_invocations() {
     let b = dispatch(args("executive --preset k-fault-feasibility-sweep --json")).unwrap();
     assert_eq!(a, b);
 }
+
+/// An executive spec file whose `mc.queue` names remote endpoints is
+/// rejected with an error naming the field — remote workers ship
+/// single-task specs only — instead of silently running in-process.
+#[test]
+fn executive_spec_with_remote_endpoints_is_rejected() {
+    let mut spec = executive_preset("avionics-trio").unwrap();
+    spec.mc = Some(eacp_spec::ExecutiveMcSpec {
+        replications: 4,
+        threads: 1,
+        queue: Some(eacp_spec::QueueSpec {
+            endpoints: vec!["127.0.0.1:9".into()],
+            ..Default::default()
+        }),
+    });
+    let dir = temp_dir();
+    let path = dir.join("remote-mc.json");
+    std::fs::write(&path, spec.to_json_string()).unwrap();
+    let err = dispatch(args(&format!("executive --spec {} --mc", path.display()))).unwrap_err();
+    std::fs::remove_file(&path).unwrap();
+    assert!(err.contains("mc.queue.endpoints"), "{err}");
+    assert!(err.contains("single-task"), "{err}");
+}

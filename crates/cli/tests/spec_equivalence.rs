@@ -3,7 +3,7 @@
 //! the CLI and the experiments runner, with identical `Summary` numbers
 //! for the same seed.
 
-use eacp_experiments::{cell_experiment, table_config, SchemeId, TableId};
+use eacp_experiments::{cell_experiment_exec, table_config, SchemeId, TableId};
 use eacp_spec::{ExecSpec, ExperimentSpec, Json};
 
 #[test]
@@ -14,23 +14,23 @@ fn one_spec_file_reproduces_a_table_cell_through_cli_and_runner() {
     let cell = config.cells[0]; // U = 0.76, λ = 1.4e-3, k = 5
 
     // The experiments runner's own result for the proposed scheme...
-    let runner_cell = eacp_experiments::run_cell_with(
+    let runner_cell = eacp_experiments::run_cell(
         &config,
         &cell,
         reps,
         seed,
-        ExecSpec::paper().build().unwrap(),
+        ExecSpec::from_options(&ExecSpec::paper().build().unwrap()),
     );
     let runner_result = runner_cell.scheme(SchemeId::Proposed);
 
     // ...and the spec document describing exactly that scheme/cell.
-    let spec = cell_experiment(
+    let spec = cell_experiment_exec(
         &config,
         &cell,
         SchemeId::Proposed,
         reps,
         seed,
-        ExecSpec::paper().build().unwrap(),
+        ExecSpec::from_options(&ExecSpec::paper().build().unwrap()),
     );
     assert_eq!(spec, runner_result.spec);
 
@@ -100,13 +100,13 @@ fn cli_flags_desugar_to_the_same_cell_spec() {
     // same experiment the harness builds, modulo the experiment name.
     let config = table_config(TableId::Table1);
     let cell = config.cells[0];
-    let harness_spec = cell_experiment(
+    let harness_spec = cell_experiment_exec(
         &config,
         &cell,
         SchemeId::Proposed,
         2_000,
         2006,
-        ExecSpec::paper().build().unwrap(),
+        ExecSpec::from_options(&ExecSpec::paper().build().unwrap()),
     );
 
     let emitted = eacp_cli::dispatch(vec![

@@ -246,28 +246,6 @@ impl ExecutiveSummary {
     }
 }
 
-/// Lossless [`OnlineStats`] snapshot (raw accumulator state).
-fn stats_to_json(s: &OnlineStats) -> Json {
-    let (count, mean, m2, min, max) = s.raw_parts();
-    Json::obj([
-        ("count", count.into()),
-        ("mean", mean.into()),
-        ("m2", m2.into()),
-        ("min", min.into()),
-        ("max", max.into()),
-    ])
-}
-
-fn stats_from_json(json: &Json) -> Result<OnlineStats, SpecError> {
-    Ok(OnlineStats::from_raw_parts(
-        json.req("count")?.as_u64()?,
-        json.req("mean")?.as_f64()?,
-        json.req("m2")?.as_f64()?,
-        json.req("min")?.as_f64()?,
-        json.req("max")?.as_f64()?,
-    ))
-}
-
 impl ToJson for TaskAggregate {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -304,10 +282,10 @@ impl ToJson for ExecutiveSummary {
             ("rollbacks", self.rollbacks.into()),
             ("checkpoints", self.checkpoints.to_json()),
             ("total_energy", self.total_energy.into()),
-            ("miss_ratio", stats_to_json(&self.miss_ratio)),
-            ("energy", stats_to_json(&self.energy)),
-            ("horizon_faults", stats_to_json(&self.horizon_faults)),
-            ("horizon_rollbacks", stats_to_json(&self.horizon_rollbacks)),
+            ("miss_ratio", self.miss_ratio.to_json()),
+            ("energy", self.energy.to_json()),
+            ("horizon_faults", self.horizon_faults.to_json()),
+            ("horizon_rollbacks", self.horizon_rollbacks.to_json()),
             (
                 "tasks",
                 Json::Array(self.per_task.iter().map(ToJson::to_json).collect()),
@@ -326,10 +304,10 @@ impl FromJson for ExecutiveSummary {
             rollbacks: json.req("rollbacks")?.as_u64()?,
             checkpoints: CheckpointTotals::from_json(json.req("checkpoints")?)?,
             total_energy: json.req("total_energy")?.as_f64()?,
-            miss_ratio: stats_from_json(json.req("miss_ratio")?)?,
-            energy: stats_from_json(json.req("energy")?)?,
-            horizon_faults: stats_from_json(json.req("horizon_faults")?)?,
-            horizon_rollbacks: stats_from_json(json.req("horizon_rollbacks")?)?,
+            miss_ratio: OnlineStats::from_json(json.req("miss_ratio")?)?,
+            energy: OnlineStats::from_json(json.req("energy")?)?,
+            horizon_faults: OnlineStats::from_json(json.req("horizon_faults")?)?,
+            horizon_rollbacks: OnlineStats::from_json(json.req("horizon_rollbacks")?)?,
             per_task: json
                 .req("tasks")?
                 .as_array()?
@@ -551,7 +529,9 @@ impl Workload for ExecutiveJob {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{run_workload_local, run_workload_queued};
+    use crate::queue::QueueRunner;
+    use crate::runner::Runner;
+    use crate::workload::run_workload_local;
     use eacp_spec::{ExecutiveMcSpec, FaultSpec, PolicyAssignment, PolicySpec, TaskSetSpec};
 
     fn mc_spec(replications: u64) -> ExecutiveSpec {
@@ -597,8 +577,10 @@ mod tests {
             );
         }
         for workers in [1usize, 3] {
-            let queued =
-                run_workload_queued(&job, workers, 3, 0, &crate::queue::NoopQueueObserver).unwrap();
+            let queued = QueueRunner::new(workers)
+                .with_max_attempts(3)
+                .run_executive(&job)
+                .unwrap();
             assert_eq!(queued, reference, "workers = {workers}");
         }
     }

@@ -1,7 +1,7 @@
 //! The executive point kind of the sweep pipeline: [`ExecutiveSpec`]
-//! implements [`SweepPoint`] (and [`ExecutiveSweepSpec`] [`SweepGrid`]),
-//! so executive grids run, shard, merge, cover and cache through the same
-//! generic functions as single-task grids.
+//! implements [`SweepPoint`], so executive grids
+//! ([`eacp_spec::ExecutiveSweepSpec`]) run, shard, merge, cover and cache
+//! through the same generic functions as single-task grids.
 //!
 //! What stays here is what is executive-specific: the
 //! [`ExecutiveMcReport`] document with its codec, the per-point unit of
@@ -11,8 +11,8 @@
 use crate::csv::cell;
 use crate::executive_mc::{ExecutiveJob, ExecutiveSummary};
 use crate::runner::Runner;
-use crate::shard::{SweepGrid, SweepPoint};
-use eacp_spec::{ExecutiveSpec, ExecutiveSweepSpec, FromJson, Json, SpecError, ToJson};
+use crate::shard::SweepPoint;
+use eacp_spec::{ExecutiveSpec, FromJson, Json, SpecError, ToJson};
 use std::path::PathBuf;
 
 /// One executive Monte-Carlo result: the spec that produced it, the
@@ -101,10 +101,7 @@ pub fn run_executive_point(
 impl SweepPoint for ExecutiveSpec {
     type Report = ExecutiveMcReport;
     type Acc = ExecutiveSummary;
-
-    fn name(&self) -> &str {
-        &self.name
-    }
+    const DOCUMENT: &'static str = "executive sweep report";
 
     fn runner(&self) -> Result<Box<dyn Runner>, SpecError> {
         let mc = self.mc_or_default();
@@ -126,19 +123,6 @@ impl SweepPoint for ExecutiveSpec {
 
     fn report_source(report: &mut ExecutiveMcReport) -> &mut Option<PathBuf> {
         &mut report.source
-    }
-}
-
-impl SweepGrid for ExecutiveSweepSpec {
-    type Point = ExecutiveSpec;
-    const DOCUMENT: &'static str = "executive sweep report";
-
-    fn points(&self) -> Result<Vec<ExecutiveSpec>, SpecError> {
-        self.expand()
-    }
-
-    fn name(&self) -> &str {
-        &self.base.name
     }
 }
 
@@ -200,7 +184,8 @@ mod tests {
     };
     use crate::shard::{coverage_dir, merge_dir};
     use eacp_spec::{
-        ExecutiveMcSpec, ExecutiveSweepAxis, FaultSpec, PolicyAssignment, PolicySpec, TaskSetSpec,
+        ExecutiveMcSpec, ExecutiveSweepAxis, ExecutiveSweepSpec, FaultSpec, PolicyAssignment,
+        PolicySpec, TaskSetSpec,
     };
 
     fn small_sweep() -> ExecutiveSweepSpec {
@@ -240,9 +225,9 @@ mod tests {
 
         // Withheld shard → loud failure; coverage reports it calmly.
         std::fs::remove_file(dir.join("shard-1-of-3.json")).unwrap();
-        let err = merge_dir::<ExecutiveSweepSpec>(&dir).unwrap_err();
+        let err = merge_dir::<ExecutiveSpec>(&dir).unwrap_err();
         assert!(err.to_string().contains("missing"), "{err}");
-        let cov = coverage_dir::<ExecutiveSweepSpec>(&dir).unwrap();
+        let cov = coverage_dir::<ExecutiveSpec>(&dir).unwrap();
         assert_eq!(cov.sweep_name, "exec-grid");
         assert_eq!(cov.total_points, 4);
         assert!(!cov.complete());

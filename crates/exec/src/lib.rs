@@ -30,7 +30,7 @@
 //!
 //! On top sits **one sharded sweep pipeline** for both workloads
 //! ([`run_sweep_tiered`], [`merge_dir`], [`coverage_dir`]), generic over
-//! the grid kind: a [`SweepGrid`] ([`SweepSpec`] or
+//! the point kind: an [`eacp_spec::Sweep`] ([`eacp_spec::SweepSpec`] or
 //! [`eacp_spec::ExecutiveSweepSpec`]) expands into [`SweepPoint`]s
 //! ([`ExperimentSpec`] or [`eacp_spec::ExecutiveSpec`]). A grid is
 //! partitioned across machines by grid-index range, each shard emits a
@@ -85,9 +85,9 @@ pub use remote::{serve_blocking, RemoteServer, RemoteWorker};
 pub use runner::{LocalRunner, Runner};
 pub use shard::{
     coverage_dir, list_report_files, merge_dir, run_grid, run_point_tiered, run_sweep_tiered,
-    DocCoverage, GridReport, PointReport, ShardId, SweepCoverage, SweepGrid, SweepPoint,
+    DocCoverage, GridReport, PointReport, ShardId, SweepCoverage, SweepPoint,
 };
-pub use workload::{run_workload_local, run_workload_queued, Replicate, Workload};
+pub use workload::{run_workload_local, Replicate, Workload};
 
 // The execution vocabulary lives in `eacp-sim` (the engine emits the
 // events); re-exported here so runner-level code needs one import path.

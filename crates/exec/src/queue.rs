@@ -38,7 +38,7 @@
 //!   outstanding leases, completions, retries).
 //!
 //! Sweep-level scheduling sits on the same queue:
-//! [`run_sweep_queued_tiered`] leases whole grid points of either sweep
+//! [`run_sweep_queued_tiered`] leases whole grid points of either point
 //! kind to the pool, producing a [`GridReport`] byte-identical to the
 //! sequential [`crate::run_sweep_tiered`].
 //!
@@ -46,10 +46,11 @@
 
 use crate::job::Job;
 use crate::runner::Runner;
-use crate::runner::{canonical_block_size, merge_blocks, run_block, run_sequential_observed};
-use crate::shard::{GridReport, PointReport, ShardId, SweepGrid, SweepPoint};
-use eacp_sim::{NoopObserver, Observer, Summary};
-use eacp_spec::SpecError;
+use crate::runner::{canonical_blocks, run_sequential_observed};
+use crate::shard::{GridReport, PointReport, ShardId, SweepPoint};
+use crate::workload::{run_workload_block, Workload};
+use eacp_sim::{Observer, Summary};
+use eacp_spec::{SpecError, Sweep};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
@@ -617,12 +618,7 @@ impl Worker for InProcessWorker {
         assignment: BlockAssignment,
         _attempt: u32,
     ) -> Result<Summary, SpecError> {
-        Ok(run_block(
-            job,
-            assignment.lo,
-            assignment.hi,
-            &mut NoopObserver,
-        ))
+        Ok(run_workload_block(job, assignment.lo, assignment.hi))
     }
 }
 
@@ -688,29 +684,37 @@ impl<W: Worker> QueueRunner<W> {
         self
     }
 
-    fn pool_size(&self, blocks: u64) -> usize {
-        resolve_workers(self.workers).clamp(1, blocks.max(1) as usize)
+    /// The one block-leasing body of both workloads: `workload`'s
+    /// canonical blocks leased through a [`WorkQueue`] (attempt budget and
+    /// lease deadline applied) to the pool, each run by `run_block(block,
+    /// attempt)`, the partials merged in ascending block order.
+    fn lease_blocks<L: Workload>(
+        &self,
+        workload: &L,
+        obs: &dyn QueueObserver,
+        run_block: impl Fn(BlockAssignment, u32) -> Result<L::Acc, SpecError> + Sync,
+    ) -> Result<L::Acc, SpecError> {
+        let mut queue = WorkQueue::new(canonical_blocks(self.block_size, workload.replications()))
+            .with_max_attempts(self.max_attempts);
+        if let Some(timeout) = self.lease_timeout {
+            queue = queue.with_lease_timeout(timeout);
+        }
+        let pool = resolve_workers(self.workers).clamp(1, queue.total().max(1));
+        let partials = queue.drain(pool, obs, |_worker, lease| {
+            run_block(*lease.item(), lease.attempt())
+        })?;
+        let mut total = workload.empty_acc();
+        for partial in &partials {
+            L::merge_acc(&mut total, partial);
+        }
+        Ok(total)
     }
 
     /// [`Runner::run`] with scheduler telemetry streamed into `obs`.
     pub fn run_with(&self, job: &Job, obs: &dyn QueueObserver) -> Result<Summary, SpecError> {
-        let reps = job.replications();
-        let block = canonical_block_size(self.block_size, reps);
-        let n_blocks = reps.div_ceil(block);
-        let assignments = (0..n_blocks).map(|b| BlockAssignment {
-            block: b,
-            lo: b * block,
-            hi: ((b + 1) * block).min(reps),
-        });
-        let mut queue = WorkQueue::new(assignments).with_max_attempts(self.max_attempts);
-        if let Some(timeout) = self.lease_timeout {
-            queue = queue.with_lease_timeout(timeout);
-        }
-        let partials = queue.drain(self.pool_size(n_blocks), obs, |_worker, lease| {
-            self.worker
-                .run_assignment(job, *lease.item(), lease.attempt())
-        })?;
-        Ok(merge_blocks(partials))
+        self.lease_blocks(job, obs, |block, attempt| {
+            self.worker.run_assignment(job, block, attempt)
+        })
     }
 }
 
@@ -734,21 +738,18 @@ impl<W: Worker> Runner for QueueRunner<W> {
         Ok(run_sequential_observed(job, self.block_size, obs))
     }
 
-    /// Executive workloads lease the same canonical blocks through a
-    /// [`WorkQueue`] ([`crate::workload::run_workload_queued`]): any
-    /// worker count and any failure/retry schedule produces the same
-    /// summary as [`LocalRunner`](crate::LocalRunner), bit for bit.
+    /// Executive workloads lease the same canonical blocks through the
+    /// same body as [`QueueRunner::run_with`], run in-process (the remote
+    /// protocol ships single-task specs only): any worker count and any
+    /// failure/retry schedule produces the same summary as
+    /// [`LocalRunner`](crate::LocalRunner), bit for bit.
     fn run_executive(
         &self,
         job: &crate::ExecutiveJob,
     ) -> Result<crate::ExecutiveSummary, SpecError> {
-        crate::workload::run_workload_queued(
-            job,
-            self.workers,
-            self.max_attempts,
-            self.block_size,
-            &NoopQueueObserver,
-        )
+        self.lease_blocks(job, &NoopQueueObserver, |block, _attempt| {
+            Ok(run_workload_block(job, block.lo, block.hi))
+        })
     }
 }
 
@@ -773,15 +774,15 @@ pub(crate) fn resolve_workers(workers: usize) -> usize {
 /// thread-count invariance of the canonical reduction makes the per-point
 /// reports — and therefore the assembled [`GridReport`] — independent of
 /// the pool size, the lease schedule and any retries.
-pub fn run_sweep_queued_tiered<G: SweepGrid>(
-    sweep: &G,
+pub fn run_sweep_queued_tiered<P: SweepPoint>(
+    sweep: &Sweep<P>,
     shard: Option<ShardId>,
     workers: usize,
     max_attempts: u32,
     obs: &dyn QueueObserver,
     analytic: bool,
-) -> Result<GridReport<G>, SpecError> {
-    let specs = sweep.points()?;
+) -> Result<GridReport<P>, SpecError> {
+    let specs = sweep.expand()?;
     let total = specs.len();
     let indices: Vec<usize> = ShardId::range_of(shard, total).collect();
     let queue = WorkQueue::new(indices).with_max_attempts(max_attempts);

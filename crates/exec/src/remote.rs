@@ -14,7 +14,7 @@
 //!   range); a response carries the partial [`Summary`] in the lossless
 //!   raw-parts encoding from `eacp_spec::report`, or an error string.
 //! * **[`RemoteServer`]** — the `eacp serve` loop: accept, read requests,
-//!   run each block with the same [`run_block`] the local runners use,
+//!   run each block with the same block reduction the local runners use,
 //!   reply. One thread per connection, sequential requests within it.
 //!   Resources are bounded: at most [`MAX_CONNECTIONS`] connections are
 //!   served at once (the accept loop closes any beyond that), and a
@@ -37,8 +37,8 @@
 
 use crate::job::Job;
 use crate::queue::{BlockAssignment, InProcessWorker, Worker};
-use crate::runner::run_block;
-use eacp_sim::{NoopObserver, Summary};
+use crate::workload::run_workload_block;
+use eacp_sim::Summary;
 use eacp_spec::{ExperimentSpec, FromJson, Json, QueueSpec, SpecError, ToJson};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -172,7 +172,7 @@ fn answer_inner(text: &str) -> Result<String, SpecError> {
                     "block range [{lo}, {hi}) is out of bounds for {reps} replications"
                 )));
             }
-            let summary = run_block(&job, lo, hi, &mut NoopObserver);
+            let summary = run_workload_block(&job, lo, hi);
             Ok(versioned(vec![("summary", summary.to_json())]).pretty())
         }
         other => Err(SpecError::invalid(format!(
@@ -588,7 +588,7 @@ mod tests {
     fn run_block_request_round_trips_a_partial_summary() {
         let spec = spec(64);
         let job = Job::from_spec(&spec).unwrap();
-        let expected = run_block(&job, 16, 48, &mut NoopObserver);
+        let expected = run_workload_block(&job, 16, 48);
         let response = answer_request(&run_block_request(&spec, 16, 48));
         let json = Json::parse(&response).unwrap();
         let summary = Summary::from_json(json.req("summary").unwrap()).unwrap();

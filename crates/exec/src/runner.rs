@@ -12,6 +12,7 @@
 //! threads, or the sequential observed path.
 
 use crate::job::Job;
+use crate::queue::BlockAssignment;
 use eacp_sim::{Observer, Summary};
 use eacp_spec::SpecError;
 
@@ -104,12 +105,11 @@ impl LocalRunner {
 /// The canonical reduction block size for a job of `replications`
 /// (`override_size` wins when positive).
 ///
-/// This is the one partition rule shared by every runner in the crate —
-/// [`LocalRunner`] and [`crate::QueueRunner`] — and it depends only on the
-/// replication count, never on the thread or worker count. Merging the
-/// per-block partials in ascending block order is therefore bit-identical
-/// no matter which runner, schedule or pool size produced them.
-pub(crate) fn canonical_block_size(override_size: u64, replications: u64) -> u64 {
+/// It depends only on the replication count, never on the thread or
+/// worker count. Merging the per-block partials of [`canonical_blocks`]
+/// in ascending block order is therefore bit-identical no matter which
+/// runner, schedule or pool size produced them.
+fn canonical_block_size(override_size: u64, replications: u64) -> u64 {
     if override_size > 0 {
         override_size
     } else {
@@ -119,28 +119,23 @@ pub(crate) fn canonical_block_size(override_size: u64, replications: u64) -> u64
     }
 }
 
-/// Reduces one block of replications sequentially.
+/// The canonical block schedule of a job of `replications`: contiguous
+/// [`BlockAssignment`]s of [`canonical_block_size`] replications in
+/// ascending block order.
 ///
-/// One [`Job::replicator`] serves the whole block: executor, engine
-/// scratch and (for spec jobs) the policy/fault instances are built once
-/// here and reused — reset, not reallocated — for every replication.
-pub(crate) fn run_block<O: Observer + ?Sized>(job: &Job, lo: u64, hi: u64, obs: &mut O) -> Summary {
-    let mut replicator = job.replicator();
-    let mut partial = Summary::empty();
-    for rep in lo..hi {
-        let out = replicator.run_replication(rep, obs);
-        partial.absorb(&out);
-    }
-    partial
-}
-
-/// Merges per-block partials in ascending block order.
-pub(crate) fn merge_blocks(blocks: Vec<Summary>) -> Summary {
-    let mut total = Summary::empty();
-    for partial in &blocks {
-        total.merge(partial);
-    }
-    total
+/// Every runner path partitions through this one function — the local
+/// thread pool, the sequential observed path and both work-queue paths —
+/// so their partials are the same blocks and merge bit-identically.
+pub(crate) fn canonical_blocks(
+    override_size: u64,
+    replications: u64,
+) -> impl Iterator<Item = BlockAssignment> {
+    let block = canonical_block_size(override_size, replications);
+    (0..replications.div_ceil(block)).map(move |b| BlockAssignment {
+        block: b,
+        lo: b * block,
+        hi: ((b + 1) * block).min(replications),
+    })
 }
 
 /// Runs the whole job sequentially over its canonical blocks, streaming
@@ -149,25 +144,25 @@ pub(crate) fn merge_blocks(blocks: Vec<Summary>) -> Summary {
 /// This is the shared observed path of every runner: a shared observer
 /// imposes a replication order, so runners fall back to this sequential
 /// schedule — over the same canonical blocks — and the aggregate stays
-/// bit-identical to their parallel fast paths.
-// audit:setup: per-job orchestration — allocates one partial per block,
-// never inside the replication loop (that is `run_block`, which stays
-// under the hot-path allocation rule).
+/// bit-identical to their parallel fast paths. One [`Job::replicator`]
+/// serves each block: executor, engine scratch and (for spec jobs) the
+/// policy/fault instances are built once per block and reset, not
+/// reallocated, for every replication.
 pub(crate) fn run_sequential_observed<O: Observer + ?Sized>(
     job: &Job,
     block_size_override: u64,
     obs: &mut O,
 ) -> Summary {
-    let reps = job.replications();
-    let block = canonical_block_size(block_size_override, reps);
-    let n_blocks = reps.div_ceil(block);
-    let mut partials = Vec::with_capacity(n_blocks as usize);
-    for b in 0..n_blocks {
-        let lo = b * block;
-        let hi = (lo + block).min(reps);
-        partials.push(run_block(job, lo, hi, obs));
+    let mut total = Summary::empty();
+    for block in canonical_blocks(block_size_override, job.replications()) {
+        let mut replicator = job.replicator();
+        let mut partial = Summary::empty();
+        for rep in block.lo..block.hi {
+            partial.absorb(&replicator.run_replication(rep, obs));
+        }
+        total.merge(&partial);
     }
-    merge_blocks(partials)
+    total
 }
 
 impl Runner for LocalRunner {

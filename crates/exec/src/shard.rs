@@ -2,10 +2,10 @@
 //! range, emit per-shard report documents, and reassemble the full grid —
 //! failing loudly on anything suspicious.
 //!
-//! The pipeline is written once, generic over the grid kind: a
-//! [`SweepGrid`] document ([`SweepSpec`] for single-task experiments,
-//! [`eacp_spec::ExecutiveSweepSpec`] for periodic task sets) expands into
-//! [`SweepPoint`]s, and [`run_sweep_tiered`], [`GridReport`],
+//! The pipeline is written once, generic over the point kind: a
+//! [`Sweep`] document ([`eacp_spec::SweepSpec`] for single-task
+//! experiments, [`eacp_spec::ExecutiveSweepSpec`] for periodic task sets)
+//! expands into [`SweepPoint`]s, and [`run_sweep_tiered`], [`GridReport`],
 //! [`merge_dir`] and [`coverage_dir`] serve both kinds.
 //!
 //! Expansion derives a deterministic per-point seed from the grid index,
@@ -29,8 +29,8 @@ use crate::job::Job;
 use crate::runner::Runner;
 use eacp_sim::Summary;
 use eacp_spec::{
-    ExperimentSpec, FromJson, Json, RunReport, ServeTier, SpecError, SummaryReport, SweepSpec,
-    ToJson,
+    ExperimentSpec, FromJson, GridPoint, Json, RunReport, ServeTier, SpecError, SummaryReport,
+    Sweep, ToJson,
 };
 use std::path::{Path, PathBuf};
 
@@ -39,15 +39,17 @@ use std::path::{Path, PathBuf};
 ///
 /// Implemented for [`ExperimentSpec`] here and for
 /// [`eacp_spec::ExecutiveSpec`] in [`crate::executive_shard`]; every
-/// sweep, merge, coverage and store function is written once over it.
-pub trait SweepPoint: Clone + PartialEq + std::fmt::Debug + ToJson + Send + Sync {
+/// sweep, merge, coverage and store function is written once over it,
+/// taking the kind's grid as a [`Sweep`].
+pub trait SweepPoint: GridPoint + Send + Sync {
     /// The per-point report (spec embedded for provenance).
     type Report: Clone + PartialEq + std::fmt::Debug + ToJson + FromJson + Send;
     /// The exact, mergeable aggregate a run produces.
     type Acc: Clone + std::fmt::Debug;
 
-    /// The point's experiment name.
-    fn name(&self) -> &str;
+    /// What this kind's grid report documents are called in error
+    /// messages.
+    const DOCUMENT: &'static str;
 
     /// The runner the spec's own scheduling section asks for (see
     /// [`crate::runner_for`]).
@@ -69,33 +71,13 @@ pub trait SweepPoint: Clone + PartialEq + std::fmt::Debug + ToJson + Send + Sync
     fn report_source(report: &mut Self::Report) -> &mut Option<PathBuf>;
 }
 
-/// A grid document that expands into [`SweepPoint`]s: [`SweepSpec`], or
-/// [`eacp_spec::ExecutiveSweepSpec`].
-pub trait SweepGrid: Clone + PartialEq + std::fmt::Debug + ToJson + FromJson + Sync {
-    /// The point kind the grid expands into.
-    type Point: SweepPoint;
-
-    /// What this grid's report documents are called in error messages.
-    const DOCUMENT: &'static str;
-
-    /// Expands the grid in flat-index order; each point's seed derives
-    /// from its index.
-    fn points(&self) -> Result<Vec<Self::Point>, SpecError>;
-
-    /// The base experiment name.
-    fn name(&self) -> &str;
-}
-
 /// The single-task point: replication-invariant cells are answered by the
 /// closed-form tier ([`crate::serve_closed_form`]) and marked
 /// `served: analytic`; everything else runs on the runner.
 impl SweepPoint for ExperimentSpec {
     type Report = RunReport;
     type Acc = Summary;
-
-    fn name(&self) -> &str {
-        &self.name
-    }
+    const DOCUMENT: &'static str = "sweep report";
 
     fn runner(&self) -> Result<Box<dyn Runner>, SpecError> {
         crate::runner_for(self.executor.queue.as_ref(), self.mc.threads)
@@ -127,19 +109,6 @@ impl SweepPoint for ExperimentSpec {
 
     fn report_source(report: &mut RunReport) -> &mut Option<PathBuf> {
         &mut report.source
-    }
-}
-
-impl SweepGrid for SweepSpec {
-    type Point = ExperimentSpec;
-    const DOCUMENT: &'static str = "sweep report";
-
-    fn points(&self) -> Result<Vec<ExperimentSpec>, SpecError> {
-        self.expand()
-    }
-
-    fn name(&self) -> &str {
-        &self.base.name
     }
 }
 
@@ -238,15 +207,15 @@ pub struct PointReport<P: SweepPoint = ExperimentSpec> {
 
 /// A sweep result document: the whole grid, or one shard of it.
 #[derive(Debug, Clone)]
-pub struct GridReport<G: SweepGrid = SweepSpec> {
+pub struct GridReport<P: SweepPoint = ExperimentSpec> {
     /// The sweep that produced (or will reproduce) these points.
-    pub sweep: G,
+    pub sweep: Sweep<P>,
     /// Total grid points in the full sweep (not just this document).
     pub total_points: usize,
     /// Which shard this document covers (`None` = the full grid).
     pub shard: Option<ShardId>,
     /// Covered points, ascending by grid index.
-    pub points: Vec<PointReport<G::Point>>,
+    pub points: Vec<PointReport<P>>,
     /// Where this document was loaded from (`None` for freshly computed
     /// grids). Never serialized — diagnostics provenance only, so merge
     /// failures can name the artifact a bad point came from.
@@ -255,7 +224,7 @@ pub struct GridReport<G: SweepGrid = SweepSpec> {
 
 // Like `RunReport`: provenance is where the document came from, not part
 // of the result, so a loaded shard compares equal to its recomputation.
-impl<G: SweepGrid> PartialEq for GridReport<G> {
+impl<P: SweepPoint> PartialEq for GridReport<P> {
     fn eq(&self, other: &Self) -> bool {
         self.sweep == other.sweep
             && self.total_points == other.total_points
@@ -264,7 +233,7 @@ impl<G: SweepGrid> PartialEq for GridReport<G> {
     }
 }
 
-impl<G: SweepGrid> GridReport<G> {
+impl<P: SweepPoint> GridReport<P> {
     /// The canonical file name: `grid.json` for a full grid,
     /// `shard-I-of-N.json` for one shard.
     pub fn file_name(&self) -> String {
@@ -302,18 +271,18 @@ impl<G: SweepGrid> GridReport<G> {
             SpecError::invalid(format!(
                 "{}: invalid {} document: {e}",
                 path.display(),
-                G::DOCUMENT
+                P::DOCUMENT
             ))
         })?;
         doc.source = Some(path.to_path_buf());
         for point in &mut doc.points {
-            *G::Point::report_source(&mut point.report) = Some(path.to_path_buf());
+            *P::report_source(&mut point.report) = Some(path.to_path_buf());
         }
         Ok(doc)
     }
 }
 
-impl<G: SweepGrid> ToJson for GridReport<G> {
+impl<P: SweepPoint> ToJson for GridReport<P> {
     fn to_json(&self) -> Json {
         let mut fields: Vec<(&'static str, Json)> = vec![
             ("sweep", self.sweep.to_json()),
@@ -335,7 +304,7 @@ impl<G: SweepGrid> ToJson for GridReport<G> {
     }
 }
 
-impl<G: SweepGrid> FromJson for GridReport<G> {
+impl<P: SweepPoint> FromJson for GridReport<P> {
     fn from_json(json: &Json) -> Result<Self, SpecError> {
         let shard = match json.get("shard") {
             None | Some(Json::Null) => None,
@@ -349,7 +318,7 @@ impl<G: SweepGrid> FromJson for GridReport<G> {
             });
         }
         Ok(Self {
-            sweep: G::from_json(json.req("sweep")?)?,
+            sweep: Sweep::from_json(json.req("sweep")?)?,
             total_points: json.req("total_points")?.as_usize()?,
             shard,
             points,
@@ -365,12 +334,12 @@ impl<G: SweepGrid> FromJson for GridReport<G> {
 /// Each grid point carries its own expansion-derived seed, so a point's
 /// report does not depend on which shard — or which runner — produced it.
 /// Per-point failures are wrapped with the grid index and point name.
-pub fn run_grid<G: SweepGrid>(
-    sweep: &G,
+pub fn run_grid<P: SweepPoint>(
+    sweep: &Sweep<P>,
     shard: Option<ShardId>,
-    mut point: impl FnMut(&G::Point) -> Result<<G::Point as SweepPoint>::Report, SpecError>,
-) -> Result<GridReport<G>, SpecError> {
-    let specs = sweep.points()?;
+    mut point: impl FnMut(&P) -> Result<P::Report, SpecError>,
+) -> Result<GridReport<P>, SpecError> {
+    let specs = sweep.expand()?;
     let total = specs.len();
     let range = ShardId::range_of(shard, total);
     let mut points = Vec::with_capacity(range.len());
@@ -398,12 +367,12 @@ pub fn run_grid<G: SweepGrid>(
 /// analytically and marked `served: analytic` in their point reports.
 /// Any runner honoring the determinism contract (summaries are a pure
 /// function of the job) produces the same report document here.
-pub fn run_sweep_tiered<G: SweepGrid>(
-    sweep: &G,
+pub fn run_sweep_tiered<P: SweepPoint>(
+    sweep: &Sweep<P>,
     shard: Option<ShardId>,
     runner: &dyn Runner,
     analytic: bool,
-) -> Result<GridReport<G>, SpecError> {
+) -> Result<GridReport<P>, SpecError> {
     run_grid(sweep, shard, |spec| {
         spec.compute(runner, analytic).map(|(_, report)| report)
     })
@@ -448,17 +417,17 @@ pub fn list_report_files(dir: &Path) -> Result<Vec<PathBuf>, SpecError> {
 /// * a grid point is covered twice (duplicated shard), is missing
 ///   (withheld shard), or embeds a spec that does not match the sweep's
 ///   expansion at its index (tampered or foreign report).
-pub fn merge_dir<G: SweepGrid>(dir: &Path) -> Result<GridReport<G>, SpecError> {
+pub fn merge_dir<P: SweepPoint>(dir: &Path) -> Result<GridReport<P>, SpecError> {
     let SweepDocs {
         docs,
         total,
         expected,
         ..
-    } = load_sweep_docs::<G>(dir)?;
+    } = load_sweep_docs::<P>(dir)?;
     let sweep = docs[0].1.sweep.clone();
 
     // Point coverage: exactly once each, spec-faithful.
-    let mut slots: Vec<Option<PointReport<G::Point>>> = vec![None; total];
+    let mut slots: Vec<Option<PointReport<P>>> = vec![None; total];
     for (path, doc) in &docs {
         for point in &doc.points {
             if point.index >= total {
@@ -475,7 +444,7 @@ pub fn merge_dir<G: SweepGrid>(dir: &Path) -> Result<GridReport<G>, SpecError> {
                     point.index
                 )));
             }
-            let spec = G::Point::report_spec(&point.report);
+            let spec = P::report_spec(&point.report);
             if *spec != expected[point.index] {
                 return Err(SpecError::invalid(format!(
                     "{}: grid point {}'s embedded spec does not match the \
@@ -516,13 +485,13 @@ pub fn merge_dir<G: SweepGrid>(dir: &Path) -> Result<GridReport<G>, SpecError> {
 }
 
 /// A directory of report documents proven to belong to one sweep.
-struct SweepDocs<G: SweepGrid> {
+struct SweepDocs<P: SweepPoint> {
     /// `(path, document)` pairs in path order.
-    docs: Vec<(PathBuf, GridReport<G>)>,
+    docs: Vec<(PathBuf, GridReport<P>)>,
     /// The validated total point count (equals `expected.len()`).
     total: usize,
     /// The sweep's expansion, for per-point spec checks.
-    expected: Vec<G::Point>,
+    expected: Vec<P>,
     /// Shard count declared by the shard documents, when any declare one.
     shard_count: Option<u64>,
 }
@@ -538,7 +507,7 @@ struct SweepDocs<G: SweepGrid> {
 /// iteration bound — a corrupt or tampered `total_points` must surface as
 /// a [`SpecError`] naming the file, not as a capacity-overflow panic or a
 /// multi-terabyte allocation.
-fn load_sweep_docs<G: SweepGrid>(dir: &Path) -> Result<SweepDocs<G>, SpecError> {
+fn load_sweep_docs<P: SweepPoint>(dir: &Path) -> Result<SweepDocs<P>, SpecError> {
     let paths = list_report_files(dir)?;
     if paths.is_empty() {
         return Err(SpecError::invalid(format!(
@@ -549,7 +518,7 @@ fn load_sweep_docs<G: SweepGrid>(dir: &Path) -> Result<SweepDocs<G>, SpecError> 
 
     let mut docs = Vec::with_capacity(paths.len());
     for path in paths {
-        let doc = GridReport::<G>::load(&path)?;
+        let doc = GridReport::<P>::load(&path)?;
         docs.push((path, doc));
     }
 
@@ -589,7 +558,7 @@ fn load_sweep_docs<G: SweepGrid>(dir: &Path) -> Result<SweepDocs<G>, SpecError> 
         }
     }
 
-    let expected = first.sweep.points()?;
+    let expected = first.sweep.expand()?;
     if expected.len() != total {
         return Err(SpecError::invalid(format!(
             "{}: declares {total} total points but its embedded sweep \
@@ -660,7 +629,7 @@ impl SweepCoverage {
 /// Unreadable or malformed documents, and documents from *different*
 /// sweeps mixed into one directory, are still loud [`SpecError`]s naming
 /// the offending file — only incomplete/duplicated coverage is tolerated.
-pub fn coverage_dir<G: SweepGrid>(dir: &Path) -> Result<SweepCoverage, SpecError> {
+pub fn coverage_dir<P: SweepPoint>(dir: &Path) -> Result<SweepCoverage, SpecError> {
     // Same loading and consistency rules as `merge_dir` — including the
     // total_points-vs-expansion guard, so a lying document cannot make
     // the status pass iterate a fantasy-sized grid.
@@ -669,8 +638,8 @@ pub fn coverage_dir<G: SweepGrid>(dir: &Path) -> Result<SweepCoverage, SpecError
         total,
         shard_count,
         ..
-    } = load_sweep_docs::<G>(dir)?;
-    let sweep_name = docs[0].1.sweep.name().to_owned();
+    } = load_sweep_docs::<P>(dir)?;
+    let sweep_name = docs[0].1.sweep.base.name().to_owned();
 
     let mut hits: std::collections::BTreeMap<usize, usize> = Default::default();
     let docs: Vec<DocCoverage> = docs
@@ -707,10 +676,10 @@ pub fn coverage_dir<G: SweepGrid>(dir: &Path) -> Result<SweepCoverage, SpecError
 pub(crate) mod tests {
     use super::*;
     use crate::runner::LocalRunner;
-    use eacp_spec::{McSpec, SweepAxis};
+    use eacp_spec::{McSpec, SweepAxis, SweepSpec};
 
     /// Runs one shard (`None` = the whole grid) on one thread.
-    pub(crate) fn run<G: SweepGrid>(sweep: &G, shard: Option<ShardId>) -> GridReport<G> {
+    pub(crate) fn run<P: SweepPoint>(sweep: &Sweep<P>, shard: Option<ShardId>) -> GridReport<P> {
         run_sweep_tiered(sweep, shard, &LocalRunner::new(1), true).unwrap()
     }
 
@@ -719,7 +688,7 @@ pub(crate) mod tests {
     }
 
     /// Three shards of a 4-point grid reassemble its points exactly.
-    pub(crate) fn assert_shards_tile<G: SweepGrid>(sweep: &G) {
+    pub(crate) fn assert_shards_tile<P: SweepPoint>(sweep: &Sweep<P>) {
         let full = run(sweep, None);
         assert_eq!(full.points.len(), 4);
         let mut collected: Vec<_> = (0..3)
@@ -731,7 +700,7 @@ pub(crate) mod tests {
 
     /// Saves three shards into `dir` and merges them back: the merged grid
     /// equals the unsharded one, byte for byte.
-    pub(crate) fn assert_merge_reassembles<G: SweepGrid>(sweep: &G, dir: &Path) {
+    pub(crate) fn assert_merge_reassembles<P: SweepPoint>(sweep: &Sweep<P>, dir: &Path) {
         let full = run(sweep, None);
         for i in 0..3 {
             run(sweep, shard(i, 3)).save(dir).unwrap();
@@ -742,10 +711,10 @@ pub(crate) mod tests {
     }
 
     /// A shard document re-parses to an equal, byte-identical document.
-    pub(crate) fn assert_json_round_trip<G: SweepGrid>(sweep: &G) {
+    pub(crate) fn assert_json_round_trip<P: SweepPoint>(sweep: &Sweep<P>) {
         let shard = run(sweep, shard(1, 2));
         let text = shard.to_json().pretty();
-        let back = GridReport::<G>::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let back = GridReport::<P>::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back.shard, shard.shard);
         assert_eq!(back.total_points, shard.total_points);
         assert_eq!(back.points.len(), shard.points.len());
@@ -838,7 +807,7 @@ pub(crate) mod tests {
         for name in ["shard-0-of-3.json", "shard-2-of-3.json"] {
             std::fs::copy(sharded.join(name), withheld.join(name)).unwrap();
         }
-        let err = merge_dir::<SweepSpec>(&withheld).unwrap_err();
+        let err = merge_dir::<ExperimentSpec>(&withheld).unwrap_err();
         assert!(err.to_string().contains("missing"), "{err}");
 
         // Duplicated shard → loud failure.
@@ -856,7 +825,7 @@ pub(crate) mod tests {
             duplicated.join("shard-0-of-3-copy.json"),
         )
         .unwrap();
-        let err = merge_dir::<SweepSpec>(&duplicated).unwrap_err();
+        let err = merge_dir::<ExperimentSpec>(&duplicated).unwrap_err();
         assert!(err.to_string().contains("covered twice"), "{err}");
 
         // Spec-mismatched shard → loud failure.
@@ -868,7 +837,7 @@ pub(crate) mod tests {
         let mut other = small_sweep();
         other.base.mc.seed = 999;
         run(&other, shard(2, 3)).save(&mismatched).unwrap();
-        let err = merge_dir::<SweepSpec>(&mismatched).unwrap_err();
+        let err = merge_dir::<ExperimentSpec>(&mismatched).unwrap_err();
         assert!(err.to_string().contains("sweep spec differs"), "{err}");
 
         std::fs::remove_dir_all(&base).unwrap();
@@ -890,7 +859,7 @@ pub(crate) mod tests {
         let path = run(&sweep, shard(0, 2)).save(&truncated).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &text[..text.len() / 2]).unwrap();
-        let err = merge_dir::<SweepSpec>(&truncated).unwrap_err();
+        let err = merge_dir::<ExperimentSpec>(&truncated).unwrap_err();
         assert!(matches!(err, SpecError::Invalid(_)), "{err}");
         assert!(err.to_string().contains("shard-0-of-2.json"), "{err}");
 
@@ -903,12 +872,12 @@ pub(crate) mod tests {
             "\"total_points\": 1152921504606846976",
         );
         std::fs::write(&path, text).unwrap();
-        let err = merge_dir::<SweepSpec>(&lying).unwrap_err();
+        let err = merge_dir::<ExperimentSpec>(&lying).unwrap_err();
         assert!(err.to_string().contains("expands to 4"), "{err}");
         assert!(err.to_string().contains("shard-0-of-2.json"), "{err}");
         // coverage_dir shares the guard: the lie must not become the
         // status pass's iteration bound.
-        let err = coverage_dir::<SweepSpec>(&lying).unwrap_err();
+        let err = coverage_dir::<ExperimentSpec>(&lying).unwrap_err();
         assert!(err.to_string().contains("expands to 4"), "{err}");
 
         // Structurally-wrong field types also name the file.
@@ -919,7 +888,7 @@ pub(crate) mod tests {
             r#"{"sweep": 3, "points": "x"}"#,
         )
         .unwrap();
-        let err = merge_dir::<SweepSpec>(&wrong).unwrap_err();
+        let err = merge_dir::<ExperimentSpec>(&wrong).unwrap_err();
         assert!(err.to_string().contains("shard-bad.json"), "{err}");
 
         std::fs::remove_dir_all(&base).unwrap();
@@ -942,7 +911,7 @@ pub(crate) mod tests {
         )
         .unwrap();
 
-        let cov = coverage_dir::<SweepSpec>(&dir).unwrap();
+        let cov = coverage_dir::<ExperimentSpec>(&dir).unwrap();
         assert_eq!(cov.sweep_name, "grid");
         assert_eq!(cov.total_points, 4);
         assert_eq!(cov.shard_count, Some(3));
@@ -957,7 +926,7 @@ pub(crate) mod tests {
         // Completing the set clears both lists.
         std::fs::remove_file(dir.join("shard-0-of-3-copy.json")).unwrap();
         run(&sweep, shard(1, 3)).save(&dir).unwrap();
-        let cov = coverage_dir::<SweepSpec>(&dir).unwrap();
+        let cov = coverage_dir::<ExperimentSpec>(&dir).unwrap();
         assert!(cov.complete(), "{cov:?}");
         assert_eq!(cov.covered(), 4);
 
@@ -968,7 +937,7 @@ pub(crate) mod tests {
     fn empty_dir_is_an_error() {
         let dir = std::env::temp_dir().join(format!("eacp-exec-empty-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        assert!(merge_dir::<SweepSpec>(&dir).is_err());
+        assert!(merge_dir::<ExperimentSpec>(&dir).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

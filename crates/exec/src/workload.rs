@@ -6,8 +6,8 @@
 //! (seeded by the workspace contract) into a mergeable accumulator, and
 //! the canonical fixed-block reduction — the partition rule that makes
 //! results bit-identical across thread and worker counts — is written
-//! once, generically, in [`run_workload_local`] and
-//! [`run_workload_queued`].
+//! once, generically: [`run_workload_local`] here, and the work-queue
+//! lease body behind [`crate::QueueRunner`].
 //!
 //! Two implementations ship:
 //!
@@ -20,17 +20,16 @@
 //!
 //! # Determinism contract
 //!
-//! The reduction never depends on thread or worker count: blocks are
-//! sized by [`canonical_block_size`] (a function of the replication count
+//! The reduction never depends on thread or worker count: blocks come
+//! from [`canonical_blocks`] (a function of the replication count
 //! alone), each block is reduced sequentially by a pooled
 //! [`Workload::Rep`] driver, and the per-block partials merge in
 //! ascending block order.
 
-use crate::queue::{BlockAssignment, QueueObserver, WorkQueue};
-use crate::runner::canonical_block_size;
+use crate::queue::BlockAssignment;
+use crate::runner::canonical_blocks;
 use eacp_sim::{NoopObserver, Summary};
-use eacp_spec::SpecError;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A replication unit a runner can reduce: build a pooled per-block
 /// driver, run seeded replications through it, merge the partials.
@@ -125,7 +124,7 @@ pub(crate) fn run_workload_block<W: Workload + ?Sized>(workload: &W, lo: u64, hi
 
 /// Resolves a requested thread count (0 = available parallelism), clamped
 /// to the number of blocks.
-fn resolve_threads(threads: usize, blocks: u64) -> usize {
+fn resolve_threads(threads: usize, blocks: usize) -> usize {
     let t = if threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -133,51 +132,47 @@ fn resolve_threads(threads: usize, blocks: u64) -> usize {
     } else {
         threads
     };
-    t.clamp(1, blocks.max(1) as usize)
+    t.clamp(1, blocks.max(1))
 }
 
 /// The canonical in-process reduction of any [`Workload`]: fixed-size
 /// blocks handed to a work-stealing thread pool, partials merged in
 /// ascending block order. Bit-identical for any `threads` value —
 /// including the sequential `threads <= 1` path.
-// audit:setup: per-run orchestration — worker vectors and the block index
-// are allocated once per run; the replication loop is `run_workload_block`.
+// audit:setup: per-run orchestration — the block list, worker vectors and
+// the block index are allocated once per run; the replication loop is
+// `run_workload_block`.
 pub fn run_workload_local<W: Workload>(
     workload: &W,
     threads: usize,
     block_size_override: u64,
 ) -> W::Acc {
-    let reps = workload.replications();
-    let block = canonical_block_size(block_size_override, reps);
-    let n_blocks = reps.div_ceil(block);
-    let threads = resolve_threads(threads, n_blocks);
+    let blocks: Vec<BlockAssignment> =
+        canonical_blocks(block_size_override, workload.replications()).collect();
+    let threads = resolve_threads(threads, blocks.len());
     if threads <= 1 {
         let mut total = workload.empty_acc();
-        for b in 0..n_blocks {
-            let lo = b * block;
-            let hi = (lo + block).min(reps);
-            let partial = run_workload_block(workload, lo, hi);
+        for block in &blocks {
+            let partial = run_workload_block(workload, block.lo, block.hi);
             W::merge_acc(&mut total, &partial);
         }
         return total;
     }
 
-    let next = AtomicU64::new(0);
-    let mut worker_results: Vec<Vec<(u64, W::Acc)>> = Vec::with_capacity(threads);
+    let next = AtomicUsize::new(0);
+    let mut worker_results: Vec<Vec<(usize, W::Acc)>> = Vec::with_capacity(threads);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
-            let next = &next;
+            let (next, blocks) = (&next, &blocks);
             handles.push(scope.spawn(move || {
                 let mut local = Vec::new();
                 loop {
                     let b = next.fetch_add(1, Ordering::Relaxed);
-                    if b >= n_blocks {
+                    let Some(block) = blocks.get(b) else {
                         break;
-                    }
-                    let lo = b * block;
-                    let hi = (lo + block).min(reps);
-                    local.push((b, run_workload_block(workload, lo, hi)));
+                    };
+                    local.push((b, run_workload_block(workload, block.lo, block.hi)));
                 }
                 local
             }));
@@ -191,10 +186,10 @@ pub fn run_workload_local<W: Workload>(
 
     // Canonical order: place each block partial at its index, then merge
     // ascending — the thread schedule is forgotten here.
-    let mut by_index: Vec<Option<W::Acc>> = Vec::with_capacity(n_blocks as usize);
-    by_index.resize_with(n_blocks as usize, || None);
+    let mut by_index: Vec<Option<W::Acc>> = Vec::with_capacity(blocks.len());
+    by_index.resize_with(blocks.len(), || None);
     for (b, partial) in worker_results.into_iter().flatten() {
-        by_index[b as usize] = Some(partial);
+        by_index[b] = Some(partial);
     }
     let mut total = workload.empty_acc();
     for partial in by_index.iter() {
@@ -205,54 +200,11 @@ pub fn run_workload_local<W: Workload>(
     total
 }
 
-/// The canonical work-queue reduction of any [`Workload`]: the same fixed
-/// blocks leased to a worker pool through a [`WorkQueue`] (with lease
-/// retry), partials merged in ascending block order. Bit-identical to
-/// [`run_workload_local`] for any worker count and any failure/retry
-/// schedule, because a failed lease discards its partial wholesale and the
-/// re-run is deterministic.
-///
-/// # Errors
-///
-/// Fails when an assignment exhausts its attempt budget (queue poisoned).
-// audit:setup: per-run orchestration — the queue and result slots are
-// allocated once per run; the replication loop is `run_workload_block`.
-pub fn run_workload_queued<W: Workload>(
-    workload: &W,
-    workers: usize,
-    max_attempts: u32,
-    block_size_override: u64,
-    obs: &dyn QueueObserver,
-) -> Result<W::Acc, SpecError> {
-    let reps = workload.replications();
-    let block = canonical_block_size(block_size_override, reps);
-    let n_blocks = reps.div_ceil(block);
-    let assignments = (0..n_blocks).map(|b| BlockAssignment {
-        block: b,
-        lo: b * block,
-        hi: ((b + 1) * block).min(reps),
-    });
-    let queue = WorkQueue::new(assignments).with_max_attempts(max_attempts);
-    let pool = crate::queue::resolve_workers(workers).clamp(1, n_blocks.max(1) as usize);
-    let partials = queue.drain(pool, obs, |_worker, lease| {
-        Ok(run_workload_block(
-            workload,
-            lease.item().lo,
-            lease.item().hi,
-        ))
-    })?;
-    let mut total = workload.empty_acc();
-    for partial in &partials {
-        W::merge_acc(&mut total, partial);
-    }
-    Ok(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::job::Job;
-    use crate::queue::NoopQueueObserver;
+    use crate::queue::QueueRunner;
     use crate::runner::{LocalRunner, Runner};
     use eacp_spec::{ExperimentSpec, McSpec};
 
@@ -284,7 +236,10 @@ mod tests {
         let job = job(250);
         let reference = run_workload_local(&job, 1, 0);
         for workers in [1usize, 3, 16] {
-            let queued = run_workload_queued(&job, workers, 3, 0, &NoopQueueObserver).unwrap();
+            let queued = QueueRunner::new(workers)
+                .with_max_attempts(3)
+                .run(&job)
+                .unwrap();
             assert_eq!(queued, reference, "workers = {workers}");
         }
     }

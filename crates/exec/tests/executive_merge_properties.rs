@@ -1,7 +1,7 @@
 //! Property tests for `ExecutiveSummary::merge`: merging any contiguous
 //! partition of the seeded horizons equals the unpartitioned fold (the
 //! invariant the fixed-block reduction in `run_workload_local` /
-//! `run_workload_queued` and the sharded executive sweeps rely on),
+//! `QueueRunner` and the sharded executive sweeps rely on),
 //! merge is associative, and the empty summary is the exact two-sided
 //! identity.
 

@@ -129,7 +129,7 @@ fn main() {
         // scope (see clippy.toml).
         #[allow(clippy::disallowed_types)]
         let t0 = std::time::Instant::now();
-        let result = eacp_experiments::run_table_exec(id, args.reps, args.seed, executor.clone());
+        let result = eacp_experiments::run_table(id, args.reps, args.seed, executor.clone());
         let elapsed = t0.elapsed();
         match args.format.as_str() {
             "markdown" => println!("{}", render::to_markdown(&result)),

@@ -17,10 +17,33 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::Write;
+
 use eacp_spec::{
     CostsSpec, ExperimentSpec, FaultSpec, McSpec, OptimizerSpec, PolicySpec, SweepAxis, SweepSpec,
     ToJson,
 };
+
+/// Writes `args` to stdout. A reader that closes the pipe early
+/// (`sweep --kind optimizer | head -3`) ends the program quietly rather
+/// than with a panic.
+fn emit(args: std::fmt::Arguments<'_>) {
+    let mut stdout = std::io::stdout().lock();
+    if stdout
+        .write_fmt(args)
+        .and_then(|()| stdout.flush())
+        .is_err()
+    {
+        std::process::exit(0);
+    }
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn nominal_base(name: &str, lambda: f64, reps: u64, seed: u64) -> ExperimentSpec {
     let mut spec = ExperimentSpec::paper_nominal();
@@ -78,7 +101,7 @@ fn sweep_store_compare_ratio(reps: u64, seed: u64, emit: bool) {
         emit_specs(ads_grid.iter().chain(&adc_grid));
         return;
     }
-    println!("ts,tcp,P_ads,E_ads,P_adc,E_adc,winner_p");
+    outln!("ts,tcp,P_ads,E_ads,P_adc,E_adc,winner_p");
     for (ads_spec, adc_spec) in ads_grid.iter().zip(&adc_grid) {
         let (ts, tcp) = match ads_spec.scenario.costs {
             CostsSpec::Explicit { store, compare, .. } => (store, compare),
@@ -91,7 +114,7 @@ fn sweep_store_compare_ratio(reps: u64, seed: u64, emit: bool) {
         } else {
             "A_D_C"
         };
-        println!(
+        outln!(
             "{ts},{tcp},{:.4},{:.0},{:.4},{:.0},{winner}",
             ads.p_timely(),
             ads.mean_energy_timely(),
@@ -127,12 +150,12 @@ fn sweep_lambda(reps: u64, seed: u64, emit: bool) {
         emit_specs(grids.iter().flatten());
         return;
     }
-    println!("lambda,scheme,P,E,faults_mean,fast_fraction");
+    outln!("lambda,scheme,P,E,faults_mean,fast_fraction");
     for i in 0..lambdas.len() {
         for grid in &grids {
             let spec = &grid[i];
             let s = run_spec(spec);
-            println!(
+            outln!(
                 "{:e},{},{:.4},{:.0},{:.2},{:.3}",
                 lambdas[i],
                 spec.policy.policy_name(),
@@ -168,10 +191,10 @@ fn sweep_optimizer(reps: u64, seed: u64, emit: bool) {
         emit_specs(specs.iter().map(|(_, _, s)| s));
         return;
     }
-    println!("lambda,method,P,E,checkpoints_mean");
+    outln!("lambda,method,P,E,checkpoints_mean");
     for (name, lambda, spec) in &specs {
         let s = run_spec(spec);
-        println!(
+        outln!(
             "{lambda:e},{name},{:.4},{:.0},{:.1}",
             s.p_timely(),
             s.mean_energy_timely(),
@@ -210,10 +233,10 @@ fn sweep_no_dvs(reps: u64, seed: u64, emit: bool) {
         emit_specs(specs.iter().map(|(_, _, s)| s));
         return;
     }
-    println!("utilization,lambda,scheme,P,E");
+    outln!("utilization,lambda,scheme,P,E");
     for (util, lambda, spec) in &specs {
         let s = run_spec(spec);
-        println!(
+        outln!(
             "{util},{lambda:e},{},{:.4},{:.0}",
             spec.policy.policy_name(),
             s.p_timely(),
@@ -224,7 +247,7 @@ fn sweep_no_dvs(reps: u64, seed: u64, emit: bool) {
 
 fn emit_specs<'a, I: Iterator<Item = &'a ExperimentSpec>>(specs: I) {
     let docs: Vec<eacp_spec::Json> = specs.map(ToJson::to_json).collect();
-    print!("{}", eacp_spec::Json::Array(docs).pretty());
+    emit(format_args!("{}", eacp_spec::Json::Array(docs).pretty()));
 }
 
 /// Reports a bad command line and exits with status 2.
@@ -260,7 +283,7 @@ fn main() {
             "--reps" => reps = count(&mut it, "--reps"),
             "--seed" => seed = count(&mut it, "--seed"),
             "--help" | "-h" => {
-                println!(
+                outln!(
                     "usage: sweep --kind store-compare-ratio|lambda|optimizer|no-dvs [--reps N] [--seed S]\n\
                      \x20      (add --emit-spec to print the expanded spec documents instead of running)"
                 );

@@ -101,9 +101,10 @@ pub fn render_comparison(result: &TableResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_table_with;
+    use crate::runner::run_table;
     use crate::tables::TableId;
     use eacp_sim::ExecutorOptions;
+    use eacp_spec::ExecSpec;
 
     fn paper_model() -> ExecutorOptions {
         ExecutorOptions {
@@ -114,7 +115,12 @@ mod tests {
 
     #[test]
     fn comparison_reports_tight_errors_on_table1() {
-        let result = run_table_with(TableId::Table1, 800, 2006, paper_model());
+        let result = run_table(
+            TableId::Table1,
+            800,
+            2006,
+            ExecSpec::from_options(&paper_model()),
+        );
         let errors = compare_with_paper(&result);
         assert_eq!(errors.len(), 4);
         for e in &errors {
@@ -145,7 +151,12 @@ mod tests {
 
     #[test]
     fn render_contains_all_schemes() {
-        let result = run_table_with(TableId::Table1, 60, 1, paper_model());
+        let result = run_table(
+            TableId::Table1,
+            60,
+            1,
+            ExecSpec::from_options(&paper_model()),
+        );
         let report = render_comparison(&result);
         for name in ["Poisson", "k-f-t", "A_D", "A_D_S"] {
             assert!(report.contains(name), "missing {name} in:\n{report}");

@@ -35,8 +35,7 @@ pub mod shape;
 pub mod tables;
 
 pub use runner::{
-    cell_experiment, cell_experiment_exec, cell_scenario_spec, run_cell, run_cell_exec,
-    run_cell_with, run_table, run_table_exec, run_table_with, scheme_policy_spec, CellResult,
+    cell_experiment_exec, cell_scenario_spec, run_cell, run_table, scheme_policy_spec, CellResult,
     SchemeResult, TableResult,
 };
 pub use tables::{table_config, CellSpec, SchemeId, TableConfig, TableId, TablePart};

@@ -247,7 +247,7 @@ mod tests {
     use crate::tables::TableId;
 
     fn small_table() -> TableResult {
-        run_table(TableId::Table1, 30, 7)
+        run_table(TableId::Table1, 30, 7, eacp_spec::ExecSpec::default())
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Since the `eacp-spec` redesign this module no longer hand-builds
 //! scenarios and policies: every cell is first *described* as an
-//! [`ExperimentSpec`] ([`cell_experiment`]) and then executed through
+//! [`ExperimentSpec`] ([`cell_experiment_exec`]) and then executed through
 //! [`eacp_exec::run`] (the `Job`/`Runner` path). The same spec,
 //! serialized to JSON and fed to `eacp mc --spec`, reproduces any cell of
 //! any table bit for bit.
@@ -10,7 +10,7 @@
 use crate::paper::{paper_cell, PaperCell};
 use crate::tables::{CellSpec, SchemeId, TableConfig, TableId};
 use eacp_core::policies::SubCheckpointKind;
-use eacp_sim::{ExecutorOptions, Policy, Scenario, Summary};
+use eacp_sim::Summary;
 use eacp_spec::{
     CostsSpec, DvsSpec, ExecSpec, ExperimentSpec, FaultSpec, McSpec, PolicySpec, ScenarioSpec,
     SummaryReport, WorkSpec,
@@ -87,15 +87,6 @@ pub fn cell_scenario_spec(config: &TableConfig, spec: &CellSpec) -> ScenarioSpec
     }
 }
 
-/// Builds the scenario for one cell of a table.
-pub fn cell_scenario(config: &TableConfig, spec: &CellSpec) -> Scenario {
-    cell_scenario_spec(config, spec)
-        .build()
-        // audit:allow(panic): the table configs are compiled-in constants
-        // exercised by every experiments test; an invalid one is a bug here.
-        .expect("table configurations are valid scenarios")
-}
-
 /// The policy description for one scheme at one cell.
 pub fn scheme_policy_spec(config: &TableConfig, spec: &CellSpec, scheme: SchemeId) -> PolicySpec {
     match scheme {
@@ -127,41 +118,10 @@ pub fn scheme_policy_spec(config: &TableConfig, spec: &CellSpec, scheme: SchemeI
     }
 }
 
-/// Builds the policy for one scheme at one cell.
-pub fn make_policy(config: &TableConfig, spec: &CellSpec, scheme: SchemeId) -> Box<dyn Policy> {
-    Box::new(
-        scheme_policy_spec(config, spec, scheme)
-            .build()
-            // audit:allow(panic): same compiled-in table constants as the
-            // scenario above; failure is a programming error, not input.
-            .expect("table configurations are valid policies"),
-    )
-}
-
 /// The complete experiment description for one scheme at one cell — the
-/// single source of truth [`run_cell_with`] executes, and the document
-/// `eacp mc --spec` accepts.
-pub fn cell_experiment(
-    config: &TableConfig,
-    spec: &CellSpec,
-    scheme: SchemeId,
-    replications: u64,
-    seed: u64,
-    options: ExecutorOptions,
-) -> ExperimentSpec {
-    cell_experiment_exec(
-        config,
-        spec,
-        scheme,
-        replications,
-        seed,
-        ExecSpec::from_options(&options),
-    )
-}
-
-/// [`cell_experiment`] with the full executor section — including the
-/// execution-layer scheduling choice ([`eacp_spec::QueueSpec`]) that
-/// [`ExecutorOptions`] cannot express.
+/// single source of truth [`run_cell`] executes, and the document
+/// `eacp mc --spec` accepts. `executor` carries the engine semantics and
+/// the execution-layer scheduling choice ([`eacp_spec::QueueSpec`]).
 pub fn cell_experiment_exec(
     config: &TableConfig,
     spec: &CellSpec,
@@ -195,40 +155,18 @@ pub fn cell_experiment_exec(
     }
 }
 
-/// Runs all four schemes at one operating point with default executor
-/// options.
-pub fn run_cell(config: &TableConfig, spec: &CellSpec, replications: u64, seed: u64) -> CellResult {
-    run_cell_with(config, spec, replications, seed, ExecutorOptions::default())
-}
-
 /// Runs all four schemes at one operating point.
 ///
-/// `options` selects executor semantics — notably
-/// [`ExecutorOptions::faults_during_overhead`], which distinguishes the
-/// physical fault model (faults can strike during checkpoint operations;
-/// the default) from the analysis-faithful model the paper's renewal
-/// equations assume (faults only during useful computation).
-pub fn run_cell_with(
-    config: &TableConfig,
-    spec: &CellSpec,
-    replications: u64,
-    seed: u64,
-    options: ExecutorOptions,
-) -> CellResult {
-    run_cell_exec(
-        config,
-        spec,
-        replications,
-        seed,
-        ExecSpec::from_options(&options),
-    )
-}
-
-/// [`run_cell_with`] with the full executor section: with a
-/// [`eacp_spec::QueueSpec`] present the cell's replications are scheduled
-/// through the work-queue runner (`eacp_exec::run` dispatches on it) —
-/// summaries are bit-identical either way.
-pub fn run_cell_exec(
+/// `executor` selects executor semantics — notably
+/// [`ExecSpec::faults_during_overhead`], which distinguishes the physical
+/// fault model (faults can strike during checkpoint operations; the
+/// default) from the analysis-faithful model the paper's renewal
+/// equations assume ([`ExecSpec::paper`]: faults only during useful
+/// computation). With a [`eacp_spec::QueueSpec`] present the cell's
+/// replications are scheduled through the work-queue runner
+/// (`eacp_exec::run` dispatches on it) — summaries are bit-identical
+/// either way.
+pub fn run_cell(
     config: &TableConfig,
     spec: &CellSpec,
     replications: u64,
@@ -261,37 +199,17 @@ pub fn run_cell_exec(
 }
 
 /// Regenerates one full table at the given replication count (the paper
-/// uses 10,000; lower counts are useful for quick looks and CI).
-pub fn run_table(id: TableId, replications: u64, seed: u64) -> TableResult {
-    run_table_with(id, replications, seed, ExecutorOptions::default())
-}
-
-/// [`run_table`] with explicit executor options (see [`run_cell_with`]).
-pub fn run_table_with(
-    id: TableId,
-    replications: u64,
-    seed: u64,
-    options: ExecutorOptions,
-) -> TableResult {
-    run_table_exec(id, replications, seed, ExecSpec::from_options(&options))
-}
-
-/// [`run_table_with`] with the full executor section (see
-/// [`run_cell_exec`]); `gen-tables --queue-workers N` regenerates whole
-/// tables through the work-queue scheduler this way.
-pub fn run_table_exec(
-    id: TableId,
-    replications: u64,
-    seed: u64,
-    executor: ExecSpec,
-) -> TableResult {
+/// uses 10,000; lower counts are useful for quick looks and CI) under
+/// `executor` (see [`run_cell`]); `gen-tables --queue-workers N`
+/// regenerates whole tables through the work-queue scheduler this way.
+pub fn run_table(id: TableId, replications: u64, seed: u64, executor: ExecSpec) -> TableResult {
     let config = crate::tables::table_config(id);
     let cells = config
         .cells
         .iter()
         .enumerate()
         .map(|(i, spec)| {
-            run_cell_exec(
+            run_cell(
                 &config,
                 spec,
                 replications,
@@ -312,37 +230,34 @@ pub fn run_table_exec(
 mod tests {
     use super::*;
     use crate::tables::{table_config, TablePart};
+    use eacp_sim::Policy;
 
     #[test]
     fn cell_scenario_scales_work_with_util_speed() {
         let t1 = table_config(TableId::Table1);
         let t2 = table_config(TableId::Table2);
         let spec = t1.cells[0];
-        assert_eq!(cell_scenario(&t1, &spec).task.work_cycles, 7600.0);
-        assert_eq!(cell_scenario(&t2, &t2.cells[0]).task.work_cycles, 15_200.0);
+        let scenario = |cfg, cell| cell_scenario_spec(cfg, cell).build().unwrap();
+        assert_eq!(scenario(&t1, &spec).task.work_cycles, 7600.0);
+        assert_eq!(scenario(&t2, &t2.cells[0]).task.work_cycles, 15_200.0);
     }
 
     #[test]
     fn policies_have_expected_names() {
         let cfg = table_config(TableId::Table3);
         let spec = cfg.cells[0];
-        assert_eq!(
-            make_policy(&cfg, &spec, SchemeId::Poisson).name(),
-            "Poisson"
-        );
-        assert_eq!(
-            make_policy(&cfg, &spec, SchemeId::KFaultTolerant).name(),
-            "k-f-t"
-        );
-        assert_eq!(make_policy(&cfg, &spec, SchemeId::AdtDvs).name(), "A_D");
-        assert_eq!(make_policy(&cfg, &spec, SchemeId::Proposed).name(), "A_D_C");
+        let make_policy = |scheme| scheme_policy_spec(&cfg, &spec, scheme).build().unwrap();
+        assert_eq!(make_policy(SchemeId::Poisson).name(), "Poisson");
+        assert_eq!(make_policy(SchemeId::KFaultTolerant).name(), "k-f-t");
+        assert_eq!(make_policy(SchemeId::AdtDvs).name(), "A_D");
+        assert_eq!(make_policy(SchemeId::Proposed).name(), "A_D_C");
     }
 
     #[test]
     fn smoke_cell_runs_all_schemes() {
         let cfg = table_config(TableId::Table1);
         let spec = cfg.cells[0]; // U = 0.76, λ = 1.4e-3, k = 5
-        let cell = run_cell(&cfg, &spec, 60, 1);
+        let cell = run_cell(&cfg, &spec, 60, 1, ExecSpec::default());
         assert_eq!(cell.schemes.len(), 4);
         assert!(cell.paper.is_some());
         for s in &cell.schemes {
@@ -366,7 +281,7 @@ mod tests {
             .iter()
             .find(|c| c.part == TablePart::B && (c.utilization - 1.0).abs() < 1e-9)
             .unwrap();
-        let cell = run_cell(&cfg, &spec, 40, 2);
+        let cell = run_cell(&cfg, &spec, 40, 2, ExecSpec::default());
         let poisson = &cell.scheme(SchemeId::Poisson).summary;
         assert_eq!(poisson.p_timely(), 0.0);
         assert!(poisson.mean_energy_timely().is_nan());
@@ -378,7 +293,7 @@ mod tests {
         // serialized to JSON and re-run elsewhere, gives the same Summary.
         let cfg = table_config(TableId::Table1);
         let spec = cfg.cells[0];
-        let cell = run_cell(&cfg, &spec, 50, 3);
+        let cell = run_cell(&cfg, &spec, 50, 3, ExecSpec::default());
         for s in &cell.schemes {
             let json = s.spec.to_json_string();
             let reread = ExperimentSpec::from_json_str(&json).unwrap();
@@ -392,8 +307,8 @@ mod tests {
     fn queued_cell_is_bit_identical_to_the_plain_cell() {
         let cfg = table_config(TableId::Table1);
         let spec = cfg.cells[0];
-        let plain = run_cell(&cfg, &spec, 40, 6);
-        let queued = run_cell_exec(
+        let plain = run_cell(&cfg, &spec, 40, 6, ExecSpec::default());
+        let queued = run_cell(
             &cfg,
             &spec,
             40,
@@ -412,7 +327,7 @@ mod tests {
     #[test]
     fn scheme_result_report_matches_summary() {
         let cfg = table_config(TableId::Table1);
-        let cell = run_cell(&cfg, &cfg.cells[0], 30, 1);
+        let cell = run_cell(&cfg, &cfg.cells[0], 30, 1, ExecSpec::default());
         let s = cell.scheme(SchemeId::Proposed);
         let report = s.summary_report();
         assert_eq!(report.replications, 30);

@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn shape_holds_on_reduced_table1() {
         // 250 replications are enough for every qualitative criterion.
-        let result = run_table(TableId::Table1, 250, 3);
+        let result = run_table(TableId::Table1, 250, 3, eacp_spec::ExecSpec::default());
         let findings = check_table(&result);
         let (passed, failed) = tally(&findings);
         let failures: Vec<_> = findings

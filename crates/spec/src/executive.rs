@@ -292,6 +292,12 @@ impl ExecutiveMcSpec {
         }
         if let Some(q) = &self.queue {
             q.validate()?;
+            if !q.endpoints.is_empty() {
+                return Err(SpecError::invalid(
+                    "mc.queue.endpoints is not supported for executive workloads: \
+                     remote workers ship single-task specs only",
+                ));
+            }
         }
         Ok(())
     }
@@ -866,6 +872,22 @@ mod tests {
             ..ExecutiveMcSpec::default()
         });
         assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
+    }
+
+    #[test]
+    fn mc_validation_rejects_remote_endpoints() {
+        let mut spec = ExecutiveSpec::new("remote-mc", trio());
+        spec.mc = Some(ExecutiveMcSpec {
+            queue: Some(QueueSpec {
+                endpoints: vec!["127.0.0.1:9".into()],
+                ..Default::default()
+            }),
+            ..ExecutiveMcSpec::default()
+        });
+        let err = spec.validate().unwrap_err();
+        assert!(matches!(err, SpecError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains("mc.queue.endpoints"), "{err}");
+        assert!(err.to_string().contains("single-task"), "{err}");
     }
 
     #[test]

@@ -87,4 +87,6 @@ pub use presets::{
     executive_preset, executive_preset_names, paper_cell, preset, preset_names, PaperScheme,
 };
 pub use report::{RunReport, ServeTier, StatsReport, SummaryReport};
-pub use sweep::{ExecutiveSweepAxis, ExecutiveSweepSpec, SweepAxis, SweepSpec};
+pub use sweep::{
+    ExecutiveSweepAxis, ExecutiveSweepSpec, GridAxis, GridPoint, Sweep, SweepAxis, SweepSpec,
+};

@@ -1,5 +1,7 @@
-//! Sweep grids: a base experiment plus axes of variation, expanding into
-//! the cartesian product of concrete [`ExperimentSpec`]s.
+//! Sweep grids: a base point plus axes of variation, expanding into the
+//! cartesian product of concrete points — [`ExperimentSpec`]s for a
+//! [`SweepSpec`], [`ExecutiveSpec`]s for an [`ExecutiveSweepSpec`]. Both
+//! are one generic [`Sweep`]; a [`GridPoint`] kind supplies what differs.
 //!
 //! `spec + seed = identical results` extends to sweeps: the expansion order
 //! is deterministic (axes in declaration order, values in listed order) and
@@ -11,6 +13,77 @@ use crate::error::SpecError;
 use crate::executive::{ExecutiveSpec, PolicyAssignment};
 use crate::json::{FromJson, Json, ToJson};
 use crate::model::{CostsSpec, ExperimentSpec, FaultSpec, PolicySpec, WorkSpec};
+
+/// A point kind a [`Sweep`] expands into: its axis vocabulary, where its
+/// seed lives, and whether an expanded point must validate.
+pub trait GridPoint: Clone + PartialEq + std::fmt::Debug + ToJson + FromJson {
+    /// One axis of variation over this point kind.
+    type Axis: GridAxis<Self>;
+
+    /// The point's experiment name.
+    fn name(&self) -> &str;
+
+    /// The name, for expansion to append axis labels to.
+    fn name_mut(&mut self) -> &mut String;
+
+    /// The seed that expansion offsets by the grid index.
+    fn seed_mut(&mut self) -> &mut u64;
+
+    /// Checks one expanded point; the default accepts every point.
+    fn check(&self) -> Result<(), SpecError> {
+        Ok(())
+    }
+}
+
+/// One axis of variation over point kind `P`.
+pub trait GridAxis<P>: Clone + PartialEq + std::fmt::Debug + ToJson + FromJson {
+    /// Number of values on the axis.
+    fn value_count(&self) -> usize;
+
+    /// The name label of value `idx` (`u0.78`, `l0.0014`, ...).
+    fn label(&self, idx: usize) -> String;
+
+    /// Sets `point`'s coordinate on this axis to value `idx`.
+    fn apply(&self, idx: usize, point: &mut P) -> Result<(), SpecError>;
+
+    /// Whether this is a seed axis, which replaces the derived seeds.
+    fn is_seed(&self) -> bool;
+}
+
+/// The `{key: [values]}` object an axis of plain numbers serializes to.
+fn axis_json<T: Copy + Into<Json>>(key: &'static str, values: &[T]) -> Json {
+    Json::obj([(key, Json::Array(values.iter().map(|&x| x.into()).collect()))])
+}
+
+/// An axis value list, each item read by `item`.
+fn axis_values<T>(
+    value: &Json,
+    item: impl Fn(&Json) -> Result<T, SpecError>,
+) -> Result<Vec<T>, SpecError> {
+    value.as_array()?.iter().map(item).collect()
+}
+
+/// Reads a single-key axis object `{key: [values]}` through `by_key` and
+/// rejects an empty value list.
+fn parse_axis<P, A: GridAxis<P>>(
+    json: &Json,
+    by_key: impl FnOnce(&str, &Json) -> Result<A, SpecError>,
+) -> Result<A, SpecError> {
+    let fields = match json {
+        Json::Object(fields) if fields.len() == 1 => fields,
+        _ => {
+            return Err(SpecError::invalid(
+                "a sweep axis is a single-key object, e.g. {\"lambda\": [1e-4, 2e-4]}",
+            ))
+        }
+    };
+    let (key, value) = &fields[0];
+    let axis = by_key(key, value)?;
+    if axis.value_count() == 0 {
+        return Err(SpecError::invalid(format!("sweep axis {key:?} is empty")));
+    }
+    Ok(axis)
+}
 
 /// One axis of variation.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,8 +102,8 @@ pub enum SweepAxis {
     Seed(Vec<u64>),
 }
 
-impl SweepAxis {
-    fn len(&self) -> usize {
+impl GridAxis<ExperimentSpec> for SweepAxis {
+    fn value_count(&self) -> usize {
         match self {
             SweepAxis::Utilization(v) => v.len(),
             SweepAxis::Lambda(v) => v.len(),
@@ -92,213 +165,63 @@ impl SweepAxis {
             }
         }
     }
+
+    fn is_seed(&self) -> bool {
+        matches!(self, SweepAxis::Seed(_))
+    }
 }
 
 impl ToJson for SweepAxis {
     fn to_json(&self) -> Json {
         match self {
-            SweepAxis::Utilization(v) => Json::obj([(
-                "utilization",
-                Json::Array(v.iter().map(|&x| x.into()).collect()),
-            )]),
-            SweepAxis::Lambda(v) => {
-                Json::obj([("lambda", Json::Array(v.iter().map(|&x| x.into()).collect()))])
-            }
-            SweepAxis::K(v) => {
-                Json::obj([("k", Json::Array(v.iter().map(|&x| x.into()).collect()))])
-            }
+            SweepAxis::Utilization(v) => axis_json("utilization", v),
+            SweepAxis::Lambda(v) => axis_json("lambda", v),
+            SweepAxis::K(v) => axis_json("k", v),
             SweepAxis::Costs(v) => Json::obj([(
                 "costs",
                 Json::Array(v.iter().map(ToJson::to_json).collect()),
             )]),
-            SweepAxis::Seed(v) => {
-                Json::obj([("seed", Json::Array(v.iter().map(|&x| x.into()).collect()))])
-            }
+            SweepAxis::Seed(v) => axis_json("seed", v),
         }
     }
 }
 
 impl FromJson for SweepAxis {
     fn from_json(json: &Json) -> Result<Self, SpecError> {
-        let fields = match json {
-            Json::Object(fields) if fields.len() == 1 => fields,
-            _ => {
-                return Err(SpecError::invalid(
-                    "a sweep axis is a single-key object, e.g. {\"lambda\": [1e-4, 2e-4]}",
-                ))
-            }
-        };
-        let (key, value) = &fields[0];
-        let axis = match key.as_str() {
-            "utilization" => SweepAxis::Utilization(
-                value
-                    .as_array()?
-                    .iter()
-                    .map(Json::as_f64)
-                    .collect::<Result<_, _>>()?,
-            ),
-            "lambda" => SweepAxis::Lambda(
-                value
-                    .as_array()?
-                    .iter()
-                    .map(Json::as_f64)
-                    .collect::<Result<_, _>>()?,
-            ),
-            "k" => SweepAxis::K(
-                value
-                    .as_array()?
-                    .iter()
-                    .map(Json::as_u32)
-                    .collect::<Result<_, _>>()?,
-            ),
-            "costs" => SweepAxis::Costs(
-                value
-                    .as_array()?
-                    .iter()
-                    .map(CostsSpec::from_json)
-                    .collect::<Result<_, _>>()?,
-            ),
-            "seed" => SweepAxis::Seed(
-                value
-                    .as_array()?
-                    .iter()
-                    .map(Json::as_u64)
-                    .collect::<Result<_, _>>()?,
-            ),
-            other => {
-                return Err(SpecError::unknown_kind(
-                    "sweep axis",
-                    other,
-                    "utilization, lambda, k, costs, seed",
-                ))
-            }
-        };
-        if axis.len() == 0 {
-            return Err(SpecError::invalid(format!("sweep axis {key:?} is empty")));
-        }
-        Ok(axis)
-    }
-}
-
-/// A base experiment and the axes to vary it over.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepSpec {
-    /// The experiment every grid point starts from.
-    pub base: ExperimentSpec,
-    /// Axes, outermost first.
-    pub axes: Vec<SweepAxis>,
-}
-
-impl SweepSpec {
-    /// Number of grid points.
-    pub fn len(&self) -> usize {
-        self.axes.iter().map(SweepAxis::len).product()
-    }
-
-    /// Whether the grid is empty (never true for a valid spec — axes must
-    /// be non-empty — but kept for clippy's `len_without_is_empty`).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Validates the grid's shape: every axis must have at least one value
-    /// (an empty axis would expand to a silent zero-point grid).
-    pub fn validate_axes(&self) -> Result<(), SpecError> {
-        for (i, axis) in self.axes.iter().enumerate() {
-            if axis.len() == 0 {
-                return Err(SpecError::invalid(format!(
-                    "sweep axis #{i} has no values: the grid would be empty"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Expands the grid into concrete experiments, outermost axis slowest.
-    ///
-    /// Each point gets a derived name (`base-u0.78-l0.0014`) and, unless a
-    /// [`SweepAxis::Seed`] axis overrides it, a per-point seed
-    /// `base.mc.seed + index` — the same offsetting the legacy table
-    /// runner applies to its cells, so sweeps shard reproducibly.
-    ///
-    /// # Errors
-    ///
-    /// Fails with a clear [`SpecError`] when an axis has zero values
-    /// (instead of silently returning an empty grid) or when an axis is
-    /// incompatible with the base spec.
-    pub fn expand(&self) -> Result<Vec<ExperimentSpec>, SpecError> {
-        self.validate_axes()?;
-        let total = self.len();
-        let has_seed_axis = self.axes.iter().any(|a| matches!(a, SweepAxis::Seed(_)));
-        let mut out = Vec::with_capacity(total);
-        for flat in 0..total {
-            let mut spec = self.base.clone();
-            let mut name = self.base.name.clone();
-            // Decompose the flat index, outermost axis slowest.
-            let mut rem = flat;
-            let mut stride = total;
-            for axis in &self.axes {
-                stride /= axis.len();
-                let idx = rem / stride;
-                rem %= stride;
-                axis.apply(idx, &mut spec)?;
-                name.push('-');
-                name.push_str(&axis.label(idx));
-            }
-            if !has_seed_axis {
-                spec.mc.seed = self.base.mc.seed.wrapping_add(flat as u64);
-            }
-            spec.name = name;
-            out.push(spec);
-        }
-        Ok(out)
-    }
-
-    /// Parses a sweep from JSON text.
-    pub fn from_json_str(text: &str) -> Result<Self, SpecError> {
-        Self::from_json(&Json::parse(text)?)
-    }
-
-    /// Serializes as pretty-printed JSON.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().pretty()
-    }
-
-    /// Reads a sweep file.
-    pub fn load(path: &std::path::Path) -> Result<Self, SpecError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| SpecError::Io(format!("{}: {e}", path.display())))?;
-        Self::from_json_str(&text)
-    }
-}
-
-impl ToJson for SweepSpec {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("base", self.base.to_json()),
-            (
-                "axes",
-                Json::Array(self.axes.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
-    }
-}
-
-impl FromJson for SweepSpec {
-    fn from_json(json: &Json) -> Result<Self, SpecError> {
-        let axes = json
-            .req("axes")?
-            .as_array()?
-            .iter()
-            .map(SweepAxis::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        if axes.is_empty() {
-            return Err(SpecError::invalid("a sweep needs at least one axis"));
-        }
-        Ok(Self {
-            base: ExperimentSpec::from_json(json.req("base")?)?,
-            axes,
+        parse_axis::<ExperimentSpec, _>(json, |key, value| {
+            Ok(match key {
+                "utilization" => SweepAxis::Utilization(axis_values(value, Json::as_f64)?),
+                "lambda" => SweepAxis::Lambda(axis_values(value, Json::as_f64)?),
+                "k" => SweepAxis::K(axis_values(value, Json::as_u32)?),
+                "costs" => SweepAxis::Costs(axis_values(value, CostsSpec::from_json)?),
+                "seed" => SweepAxis::Seed(axis_values(value, Json::as_u64)?),
+                other => {
+                    return Err(SpecError::unknown_kind(
+                        "sweep axis",
+                        other,
+                        "utilization, lambda, k, costs, seed",
+                    ))
+                }
+            })
         })
+    }
+}
+
+/// The single-task point: names like `base-u0.78-l0.0014`, seed in
+/// `mc.seed`, no per-point validation (a bad point fails when it runs).
+impl GridPoint for ExperimentSpec {
+    type Axis = SweepAxis;
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn name_mut(&mut self) -> &mut String {
+        &mut self.name
+    }
+
+    fn seed_mut(&mut self) -> &mut u64 {
+        &mut self.mc.seed
     }
 }
 
@@ -335,8 +258,8 @@ fn map_policies(assignment: &mut PolicyAssignment, f: impl Fn(&PolicySpec) -> Po
     }
 }
 
-impl ExecutiveSweepAxis {
-    fn len(&self) -> usize {
+impl GridAxis<ExecutiveSpec> for ExecutiveSweepAxis {
+    fn value_count(&self) -> usize {
         match self {
             ExecutiveSweepAxis::Hyperperiods(v) => v.len(),
             ExecutiveSweepAxis::Utilization(v) => v.len(),
@@ -411,109 +334,89 @@ impl ExecutiveSweepAxis {
             }
         }
     }
+
+    fn is_seed(&self) -> bool {
+        matches!(self, ExecutiveSweepAxis::Seed(_))
+    }
 }
 
 impl ToJson for ExecutiveSweepAxis {
     fn to_json(&self) -> Json {
         match self {
-            ExecutiveSweepAxis::Hyperperiods(v) => Json::obj([(
-                "hyperperiods",
-                Json::Array(v.iter().map(|&x| x.into()).collect()),
-            )]),
-            ExecutiveSweepAxis::Utilization(v) => Json::obj([(
-                "utilization",
-                Json::Array(v.iter().map(|&x| x.into()).collect()),
-            )]),
-            ExecutiveSweepAxis::Lambda(v) => {
-                Json::obj([("lambda", Json::Array(v.iter().map(|&x| x.into()).collect()))])
-            }
-            ExecutiveSweepAxis::K(v) => {
-                Json::obj([("k", Json::Array(v.iter().map(|&x| x.into()).collect()))])
-            }
-            ExecutiveSweepAxis::Seed(v) => {
-                Json::obj([("seed", Json::Array(v.iter().map(|&x| x.into()).collect()))])
-            }
+            ExecutiveSweepAxis::Hyperperiods(v) => axis_json("hyperperiods", v),
+            ExecutiveSweepAxis::Utilization(v) => axis_json("utilization", v),
+            ExecutiveSweepAxis::Lambda(v) => axis_json("lambda", v),
+            ExecutiveSweepAxis::K(v) => axis_json("k", v),
+            ExecutiveSweepAxis::Seed(v) => axis_json("seed", v),
         }
     }
 }
 
 impl FromJson for ExecutiveSweepAxis {
     fn from_json(json: &Json) -> Result<Self, SpecError> {
-        let fields = match json {
-            Json::Object(fields) if fields.len() == 1 => fields,
-            _ => {
-                return Err(SpecError::invalid(
-                    "a sweep axis is a single-key object, e.g. {\"lambda\": [1e-4, 2e-4]}",
-                ))
-            }
-        };
-        let (key, value) = &fields[0];
-        let axis = match key.as_str() {
-            "hyperperiods" => ExecutiveSweepAxis::Hyperperiods(
-                value
-                    .as_array()?
-                    .iter()
-                    .map(Json::as_u32)
-                    .collect::<Result<_, _>>()?,
-            ),
-            "utilization" => ExecutiveSweepAxis::Utilization(
-                value
-                    .as_array()?
-                    .iter()
-                    .map(Json::as_f64)
-                    .collect::<Result<_, _>>()?,
-            ),
-            "lambda" => ExecutiveSweepAxis::Lambda(
-                value
-                    .as_array()?
-                    .iter()
-                    .map(Json::as_f64)
-                    .collect::<Result<_, _>>()?,
-            ),
-            "k" => ExecutiveSweepAxis::K(
-                value
-                    .as_array()?
-                    .iter()
-                    .map(Json::as_u32)
-                    .collect::<Result<_, _>>()?,
-            ),
-            "seed" => ExecutiveSweepAxis::Seed(
-                value
-                    .as_array()?
-                    .iter()
-                    .map(Json::as_u64)
-                    .collect::<Result<_, _>>()?,
-            ),
-            other => {
-                return Err(SpecError::unknown_kind(
-                    "executive sweep axis",
-                    other,
-                    "hyperperiods, utilization, lambda, k, seed",
-                ))
-            }
-        };
-        if axis.len() == 0 {
-            return Err(SpecError::invalid(format!("sweep axis {key:?} is empty")));
-        }
-        Ok(axis)
+        parse_axis::<ExecutiveSpec, _>(json, |key, value| {
+            Ok(match key {
+                "hyperperiods" => {
+                    ExecutiveSweepAxis::Hyperperiods(axis_values(value, Json::as_u32)?)
+                }
+                "utilization" => ExecutiveSweepAxis::Utilization(axis_values(value, Json::as_f64)?),
+                "lambda" => ExecutiveSweepAxis::Lambda(axis_values(value, Json::as_f64)?),
+                "k" => ExecutiveSweepAxis::K(axis_values(value, Json::as_u32)?),
+                "seed" => ExecutiveSweepAxis::Seed(axis_values(value, Json::as_u64)?),
+                other => {
+                    return Err(SpecError::unknown_kind(
+                        "executive sweep axis",
+                        other,
+                        "hyperperiods, utilization, lambda, k, seed",
+                    ))
+                }
+            })
+        })
     }
 }
 
-/// A base executive workload and the axes to vary it over — the task-set
-/// counterpart of [`SweepSpec`], expanding into concrete
-/// [`ExecutiveSpec`]s for `eacp executive --sweep`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExecutiveSweepSpec {
-    /// The workload every grid point starts from.
-    pub base: ExecutiveSpec,
-    /// Axes, outermost first.
-    pub axes: Vec<ExecutiveSweepAxis>,
+/// The executive point: names like `base-h5-l0.0014`, seed in `seed`, and
+/// every expanded point validated so a bad grid is rejected before any
+/// horizon runs.
+impl GridPoint for ExecutiveSpec {
+    type Axis = ExecutiveSweepAxis;
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn name_mut(&mut self) -> &mut String {
+        &mut self.name
+    }
+
+    fn seed_mut(&mut self) -> &mut u64 {
+        &mut self.seed
+    }
+
+    fn check(&self) -> Result<(), SpecError> {
+        self.validate()
+    }
 }
 
-impl ExecutiveSweepSpec {
+/// A base point and the axes to vary it over.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sweep<P: GridPoint> {
+    /// The point every grid point starts from.
+    pub base: P,
+    /// Axes, outermost first.
+    pub axes: Vec<P::Axis>,
+}
+
+/// A single-task experiment sweep (`eacp sweep`).
+pub type SweepSpec = Sweep<ExperimentSpec>;
+
+/// A periodic task-set sweep (`eacp executive --sweep`).
+pub type ExecutiveSweepSpec = Sweep<ExecutiveSpec>;
+
+impl<P: GridPoint> Sweep<P> {
     /// Number of grid points.
     pub fn len(&self) -> usize {
-        self.axes.iter().map(ExecutiveSweepAxis::len).product()
+        self.axes.iter().map(GridAxis::value_count).product()
     }
 
     /// Whether the grid is empty (never true for a valid spec — axes must
@@ -522,10 +425,11 @@ impl ExecutiveSweepSpec {
         self.len() == 0
     }
 
-    /// Validates the grid's shape: every axis must have at least one value.
+    /// Validates the grid's shape: every axis must have at least one value
+    /// (an empty axis would expand to a silent zero-point grid).
     pub fn validate_axes(&self) -> Result<(), SpecError> {
         for (i, axis) in self.axes.iter().enumerate() {
-            if axis.len() == 0 {
+            if axis.value_count() == 0 {
                 return Err(SpecError::invalid(format!(
                     "sweep axis #{i} has no values: the grid would be empty"
                 )));
@@ -534,48 +438,47 @@ impl ExecutiveSweepSpec {
         Ok(())
     }
 
-    /// Expands the grid into concrete workloads, outermost axis slowest.
+    /// Expands the grid into concrete points, outermost axis slowest.
     ///
-    /// Each point gets a derived name (`base-h5-l0.0014`) and, unless a
-    /// [`ExecutiveSweepAxis::Seed`] axis overrides it, a per-point seed
-    /// `base.seed + index` — the same derivation the single-task
-    /// [`SweepSpec::expand`] applies, so executive sweeps shard and
-    /// resume reproducibly.
+    /// Each point gets a derived name (`base-u0.78-l0.0014`) and, unless a
+    /// seed axis overrides it, a per-point seed `base seed + index` — the
+    /// same offsetting the legacy table runner applies to its cells, so
+    /// sweeps shard and resume reproducibly.
     ///
     /// # Errors
     ///
-    /// Fails with a clear [`SpecError`] when an axis has zero values or is
-    /// incompatible with the base spec, and validates every expanded
-    /// point so a bad grid is rejected before any horizon runs.
-    pub fn expand(&self) -> Result<Vec<ExecutiveSpec>, SpecError> {
+    /// Fails with a clear [`SpecError`] when an axis has zero values
+    /// (instead of silently returning an empty grid), when an axis is
+    /// incompatible with the base spec, or when an expanded point fails
+    /// its kind's [`GridPoint::check`].
+    pub fn expand(&self) -> Result<Vec<P>, SpecError> {
         self.validate_axes()?;
         let total = self.len();
-        let has_seed_axis = self
-            .axes
-            .iter()
-            .any(|a| matches!(a, ExecutiveSweepAxis::Seed(_)));
+        let has_seed_axis = self.axes.iter().any(GridAxis::is_seed);
         let mut out = Vec::with_capacity(total);
         for flat in 0..total {
-            let mut spec = self.base.clone();
-            let mut name = self.base.name.clone();
+            let mut point = self.base.clone();
             // Decompose the flat index, outermost axis slowest.
             let mut rem = flat;
             let mut stride = total;
             for axis in &self.axes {
-                stride /= axis.len();
+                stride /= axis.value_count();
                 let idx = rem / stride;
                 rem %= stride;
-                axis.apply(idx, &mut spec)?;
+                axis.apply(idx, &mut point)?;
+                let name = point.name_mut();
                 name.push('-');
                 name.push_str(&axis.label(idx));
             }
             if !has_seed_axis {
-                spec.seed = self.base.seed.wrapping_add(flat as u64);
+                // No axis touched the seed, so it is still the base seed.
+                let seed = point.seed_mut();
+                *seed = seed.wrapping_add(flat as u64);
             }
-            spec.name = name;
-            spec.validate()
+            point
+                .check()
                 .map_err(|e| SpecError::invalid(format!("grid point {flat}: {e}")))?;
-            out.push(spec);
+            out.push(point);
         }
         Ok(out)
     }
@@ -598,7 +501,7 @@ impl ExecutiveSweepSpec {
     }
 }
 
-impl ToJson for ExecutiveSweepSpec {
+impl<P: GridPoint> ToJson for Sweep<P> {
     fn to_json(&self) -> Json {
         Json::obj([
             ("base", self.base.to_json()),
@@ -610,19 +513,19 @@ impl ToJson for ExecutiveSweepSpec {
     }
 }
 
-impl FromJson for ExecutiveSweepSpec {
+impl<P: GridPoint> FromJson for Sweep<P> {
     fn from_json(json: &Json) -> Result<Self, SpecError> {
         let axes = json
             .req("axes")?
             .as_array()?
             .iter()
-            .map(ExecutiveSweepAxis::from_json)
+            .map(P::Axis::from_json)
             .collect::<Result<Vec<_>, _>>()?;
         if axes.is_empty() {
             return Err(SpecError::invalid("a sweep needs at least one axis"));
         }
         Ok(Self {
-            base: ExecutiveSpec::from_json(json.req("base")?)?,
+            base: P::from_json(json.req("base")?)?,
             axes,
         })
     }

@@ -22,7 +22,7 @@
 //!   [`StorePoint`];
 //! * [`run_cached_single`] — the same for one raw-seed execution
 //!   (`eacp run`), keyed with the `replications == 0` sentinel;
-//! * [`run_sweep_cached_tiered`] — a resumable sweep of either grid kind:
+//! * [`run_sweep_cached_tiered`] — a resumable sweep of either point kind:
 //!   only uncovered grid cells are scheduled onto the runner;
 //! * [`verify_store`] / [`verify_cell`] — recompute stored cells and fail
 //!   on any byte mismatch.

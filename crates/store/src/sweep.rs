@@ -11,8 +11,8 @@
 use crate::backend::{Lookup, StoreBackend};
 use crate::observe::StoreObserver;
 use crate::{run_cached_with_tiered, CacheMode, StorePoint};
-use eacp_exec::{run_grid, GridReport, Runner, ShardId, SweepGrid};
-use eacp_spec::SpecError;
+use eacp_exec::{run_grid, GridReport, Runner, ShardId};
+use eacp_spec::{SpecError, Sweep};
 
 /// How much of a sweep's grid the store already covers — the store-side
 /// analogue of the execution layer's `SweepCoverage` over report files.
@@ -38,17 +38,17 @@ impl StoreCoverage {
     }
 }
 
-/// Inspects how much of `sweep`'s grid (either kind) the store already
-/// holds.
+/// Inspects how much of `sweep`'s grid (either point kind) the store
+/// already holds.
 ///
 /// Corrupt entries encountered along the way are quarantined by the
 /// backend and counted as missing — exactly what a subsequent
 /// [`run_sweep_cached_tiered`] would recompute.
-pub fn store_coverage<G: SweepGrid<Point: StorePoint>>(
+pub fn store_coverage<P: StorePoint>(
     store: &dyn StoreBackend,
-    sweep: &G,
+    sweep: &Sweep<P>,
 ) -> Result<StoreCoverage, SpecError> {
-    let specs = sweep.points()?;
+    let specs = sweep.expand()?;
     let mut missing = Vec::new();
     for (index, spec) in specs.iter().enumerate() {
         if !matches!(store.get(&spec.cell_id())?, Lookup::Hit { .. }) {
@@ -56,13 +56,13 @@ pub fn store_coverage<G: SweepGrid<Point: StorePoint>>(
         }
     }
     Ok(StoreCoverage {
-        sweep_name: sweep.name().to_owned(),
+        sweep_name: sweep.base.name().to_owned(),
         total_points: specs.len(),
         missing,
     })
 }
 
-/// Runs a sweep shard (either kind) against a store: covered cells are
+/// Runs a sweep shard (either point kind) against a store: covered cells are
 /// served, uncovered cells are scheduled onto `runner` and recorded;
 /// `analytic = false` (the CLI's `--no-analytic`) disables the
 /// closed-form serve tier.
@@ -71,15 +71,15 @@ pub fn store_coverage<G: SweepGrid<Point: StorePoint>>(
 /// semantics, same report document, byte-identical output (a point's
 /// report never depends on whether it was computed or served).
 #[allow(clippy::too_many_arguments)]
-pub fn run_sweep_cached_tiered<G: SweepGrid<Point: StorePoint>>(
-    sweep: &G,
+pub fn run_sweep_cached_tiered<P: StorePoint>(
+    sweep: &Sweep<P>,
     shard: Option<ShardId>,
     runner: &dyn Runner,
     store: &dyn StoreBackend,
     mode: CacheMode,
     observer: &dyn StoreObserver,
     analytic: bool,
-) -> Result<GridReport<G>, SpecError> {
+) -> Result<GridReport<P>, SpecError> {
     run_grid(sweep, shard, |spec| {
         run_cached_with_tiered(spec, runner, store, mode, observer, analytic).map(|c| c.report)
     })
@@ -110,12 +110,12 @@ mod tests {
     }
 
     /// One store-backed shard (`None` = the whole grid) on one thread.
-    fn cached<G: SweepGrid<Point: StorePoint>>(
-        sweep: &G,
+    fn cached<P: StorePoint>(
+        sweep: &Sweep<P>,
         shard: Option<ShardId>,
         store: &MemBackend,
         observer: &dyn StoreObserver,
-    ) -> GridReport<G> {
+    ) -> GridReport<P> {
         let runner = LocalRunner::new(1);
         run_sweep_cached_tiered(
             sweep,
@@ -132,7 +132,7 @@ mod tests {
     /// "Killed at the shard boundary": only shard 0 of 2 lands in the
     /// store. Resuming over the full grid serves the finished half, computes
     /// the rest, and equals an uninterrupted run byte for byte.
-    fn assert_resumes<G: SweepGrid<Point: StorePoint>>(sweep: &G, name: &str, missing: Vec<usize>) {
+    fn assert_resumes<P: StorePoint>(sweep: &Sweep<P>, name: &str, missing: Vec<usize>) {
         let store = MemBackend::new();
         cached(
             sweep,
@@ -142,7 +142,7 @@ mod tests {
         );
 
         let coverage = store_coverage(&store, sweep).unwrap();
-        let total = sweep.points().unwrap().len();
+        let total = sweep.expand().unwrap().len();
         assert_eq!(coverage.sweep_name, name);
         assert_eq!(coverage.total_points, total);
         assert_eq!(coverage.covered(), total - missing.len());

@@ -6,8 +6,9 @@
 //! keep CI fast while still checking the claims end to end.
 
 use eacp::experiments::shape::{check_table, tally};
-use eacp::experiments::{run_table_with, SchemeId, TableId, TablePart};
+use eacp::experiments::{run_table, SchemeId, TableId, TablePart};
 use eacp::sim::ExecutorOptions;
+use eacp::spec::ExecSpec;
 
 /// The paper's fault model: faults strike useful computation only.
 fn paper_options() -> ExecutorOptions {
@@ -19,7 +20,12 @@ fn paper_options() -> ExecutorOptions {
 
 #[test]
 fn table1_shape_and_anchors() {
-    let result = run_table_with(TableId::Table1, 1_500, 2006, paper_options());
+    let result = run_table(
+        TableId::Table1,
+        1_500,
+        2006,
+        ExecSpec::from_options(&paper_options()),
+    );
     let findings = check_table(&result);
     let (_, failed) = tally(&findings);
     let msgs: Vec<_> = findings
@@ -47,7 +53,12 @@ fn table1_shape_and_anchors() {
 
 #[test]
 fn table2_shape_and_crossover() {
-    let result = run_table_with(TableId::Table2, 1_200, 2006, paper_options());
+    let result = run_table(
+        TableId::Table2,
+        1_200,
+        2006,
+        ExecSpec::from_options(&paper_options()),
+    );
     let findings = check_table(&result);
     let (_, failed) = tally(&findings);
     let msgs: Vec<_> = findings
@@ -83,7 +94,12 @@ fn table2_shape_and_crossover() {
 
 #[test]
 fn table3_shape_holds() {
-    let result = run_table_with(TableId::Table3, 1_000, 2006, paper_options());
+    let result = run_table(
+        TableId::Table3,
+        1_000,
+        2006,
+        ExecSpec::from_options(&paper_options()),
+    );
     let findings = check_table(&result);
     let (_, failed) = tally(&findings);
     let msgs: Vec<_> = findings
@@ -96,7 +112,12 @@ fn table3_shape_holds() {
 
 #[test]
 fn table4_shape_holds() {
-    let result = run_table_with(TableId::Table4, 1_000, 2006, paper_options());
+    let result = run_table(
+        TableId::Table4,
+        1_000,
+        2006,
+        ExecSpec::from_options(&paper_options()),
+    );
     let findings = check_table(&result);
     let (_, failed) = tally(&findings);
     let msgs: Vec<_> = findings
@@ -111,7 +132,12 @@ fn table4_shape_holds() {
 fn nan_cells_reproduce() {
     // Table 1(b), U = 1.00: the baselines cannot finish by D — P = 0 and
     // the paper prints NaN energies.
-    let result = run_table_with(TableId::Table1, 300, 9, paper_options());
+    let result = run_table(
+        TableId::Table1,
+        300,
+        9,
+        ExecSpec::from_options(&paper_options()),
+    );
     for cell in result
         .cells
         .iter()
