@@ -16,7 +16,8 @@
 //!   paper-value deltas;
 //! * `analyze` — print the paper's analysis quantities (`I1/I2/I3`,
 //!   thresholds, `num_SCP`/`num_CCP`, `t_est`, chosen speed);
-//! * `table` — regenerate one of the paper's tables;
+//! * `table` — regenerate one of the paper's tables, with its comparison
+//!   against the paper and the tally of the paper's shape criteria;
 //! * `feasibility` — checkpoint-aware EDF/RM analysis of a periodic task
 //!   set, with a per-k sensitivity table (spec-driven via
 //!   [`ExecutiveSpec`], or the `--tasks` shorthand);
@@ -63,7 +64,7 @@ use eacp_rtsched::TaskSet;
 use eacp_sim::{Executor, Policy, TraceRecorder};
 use eacp_spec::{
     executive_preset, executive_preset_names, preset, preset_names, CostsSpec, ExecSpec,
-    ExecutiveSpec, ExperimentSpec, FaultSpec, FromJson, Json, McSpec, PeriodicTaskSpec,
+    ExecutiveSpec, ExperimentSpec, FaultSpec, FromJson, GridAxis, Json, McSpec, PeriodicTaskSpec,
     PolicyAssignment, PolicySpec, QueueSpec, RunReport, ScenarioSpec, Sweep, TaskSetSpec, ToJson,
     WorkSpec,
 };
@@ -328,33 +329,29 @@ pub fn parse_options<I: Iterator<Item = String>>(mut args: I) -> Result<Options,
             "--scheme" => o.scheme = val("--scheme")?,
             "--util" => o.util = parse_num(&val("--util")?, "--util")?,
             "--lambda" => o.lambda = parse_num(&val("--lambda")?, "--lambda")?,
-            "--k" => o.k = parse_num(&val("--k")?, "--k")? as u32,
+            "--k" => o.k = parse_num(&val("--k")?, "--k")?,
             "--deadline" => o.deadline = parse_num(&val("--deadline")?, "--deadline")?,
             "--variant" => o.variant = val("--variant")?,
-            "--seed" => o.seed = parse_num(&val("--seed")?, "--seed")? as u64,
-            "--reps" => o.reps = parse_num(&val("--reps")?, "--reps")? as u64,
-            "--threads" => o.threads = parse_num(&val("--threads")?, "--threads")? as usize,
+            "--seed" => o.seed = parse_num(&val("--seed")?, "--seed")?,
+            "--reps" => o.reps = parse_num(&val("--reps")?, "--reps")?,
+            "--threads" => o.threads = parse_num(&val("--threads")?, "--threads")?,
             "--speed" => o.speed = parse_num(&val("--speed")?, "--speed")?,
             "--hyperperiods" => {
-                o.hyperperiods = parse_num(&val("--hyperperiods")?, "--hyperperiods")? as u32
+                o.hyperperiods = parse_num(&val("--hyperperiods")?, "--hyperperiods")?
             }
             "--tasks" => o.tasks = val("--tasks")?,
             "--sweep" => o.sweep = val("--sweep")?,
             "--spec" => o.spec = val("--spec")?,
             "--preset" => o.preset = val("--preset")?,
             "--shard" => o.shard = val("--shard")?,
-            "--workers" => o.workers = parse_num(&val("--workers")?, "--workers")? as usize,
+            "--workers" => o.workers = parse_num(&val("--workers")?, "--workers")?,
             "--endpoints" => o.endpoints = val("--endpoints")?,
-            "--timeout-ms" => {
-                o.timeout_ms = parse_num(&val("--timeout-ms")?, "--timeout-ms")? as u64
-            }
+            "--timeout-ms" => o.timeout_ms = parse_num(&val("--timeout-ms")?, "--timeout-ms")?,
             "--listen" => o.listen = val("--listen")?,
             "--store" => o.store = val("--store")?,
-            "--max-entries" => {
-                o.max_entries = parse_num(&val("--max-entries")?, "--max-entries")? as u64
-            }
-            "--max-bytes" => o.max_bytes = parse_num(&val("--max-bytes")?, "--max-bytes")? as u64,
-            "--sample" => o.sample = parse_num(&val("--sample")?, "--sample")? as u64,
+            "--max-entries" => o.max_entries = parse_num(&val("--max-entries")?, "--max-entries")?,
+            "--max-bytes" => o.max_bytes = parse_num(&val("--max-bytes")?, "--max-bytes")?,
+            "--sample" => o.sample = parse_num(&val("--sample")?, "--sample")?,
             "--out" => o.out = val("--out")?,
             "--no-cache" => o.no_cache = true,
             "--no-analytic" => o.no_analytic = true,
@@ -403,8 +400,14 @@ pub fn parse_options<I: Iterator<Item = String>>(mut args: I) -> Result<Options,
     Ok(o)
 }
 
-fn parse_num(s: &str, name: &str) -> Result<f64, String> {
-    s.parse::<f64>().map_err(|e| format!("bad {name}: {e}"))
+/// Parses a flag's value as the flag's own type, so an integer flag
+/// rejects fractions, signs and out-of-range values instead of rounding
+/// them.
+fn parse_num<T: std::str::FromStr>(s: &str, name: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    s.parse().map_err(|e| format!("bad {name} {s:?}: {e}"))
 }
 
 /// Desugars the `--queue [--workers N] [--endpoints ... [--timeout-ms T]]`
@@ -1015,6 +1018,20 @@ fn override_executive_mc(spec: &mut ExecutiveSpec, o: &Options) {
     }
 }
 
+/// Applies the Monte-Carlo overrides to a grid's base point, for every
+/// command that runs or inspects a grid (`sweep`, `executive --sweep`,
+/// `store status --spec`). A seed axis replaces every point's seed, so
+/// `--seed` would be dropped without a word: that is an error instead.
+fn override_grid_mc<P: SweepCommand>(sweep: &mut Sweep<P>, o: &Options) -> Result<(), String> {
+    if o.has("--seed") && sweep.axes.iter().any(GridAxis::is_seed) {
+        return Err(
+            "--seed cannot override a sweep document with a seed axis — edit the axis".to_owned(),
+        );
+    }
+    sweep.base.override_mc(o);
+    Ok(())
+}
+
 /// The sweep driver of both grid kinds: expand the grid document and run
 /// every point (or one `--shard i/n` of it) — served from a store,
 /// leased through a work queue or the remote fleet, or run locally — then
@@ -1031,7 +1048,7 @@ fn cmd_grid<P: SweepCommand>(o: &Options) -> Result<String, String> {
         }
     }
     let mut sweep = Sweep::<P>::load(Path::new(path)).map_err(|e| e.to_string())?;
-    sweep.base.override_mc(o);
+    override_grid_mc(&mut sweep, o)?;
     let shard = if o.shard.is_empty() {
         None
     } else {
@@ -1303,7 +1320,7 @@ fn grid_store_coverage<P: SweepCommand>(
     json: &Json,
 ) -> Result<StoreCoverage, String> {
     let mut sweep = Sweep::<P>::from_json(json).map_err(|e| format!("{}: {e}", o.spec))?;
-    sweep.base.override_mc(o);
+    override_grid_mc(&mut sweep, o)?;
     store_coverage(backend, &sweep).map_err(|e| e.to_string())
 }
 
@@ -1571,9 +1588,21 @@ pub fn cmd_analyze(o: &Options) -> Result<String, String> {
 }
 
 /// `eacp table`: regenerate one paper table (delegates to
-/// `eacp-experiments`).
+/// `eacp-experiments`). The text output is the table, its comparison with
+/// the paper, and the tally of the paper's qualitative shape criteria with
+/// every failing one; `--json` carries every measured number.
 pub fn cmd_table(o: &Options) -> Result<String, String> {
+    use eacp_experiments::shape::{check_table, tally};
     use eacp_experiments::TableId;
+    if let Some(flag) = o
+        .explicit
+        .iter()
+        .find(|f| !["--reps", "--seed", "--json"].contains(&f.as_str()))
+    {
+        return Err(format!(
+            "table: {flag} does not apply (table takes --reps, --seed and --json)"
+        ));
+    }
     let which = o
         .positional
         .first()
@@ -1585,13 +1614,22 @@ pub fn cmd_table(o: &Options) -> Result<String, String> {
         "4" => TableId::Table4,
         other => return Err(format!("unknown table {other:?}")),
     };
-    let result = eacp_experiments::run_table(id, o.reps, o.seed, ExecSpec::paper());
+    let result = eacp_experiments::run_table(id, o.reps, o.seed, ExecSpec::paper())
+        .map_err(|e| format!("table: {e}"))?;
     if o.json {
         return Ok(eacp_experiments::render::to_json(&result));
     }
     let mut out = eacp_experiments::render::to_text(&result);
     out.push('\n');
     out.push_str(&eacp_experiments::compare::render_comparison(&result));
+    let findings = check_table(&result);
+    let (passed, failed) = tally(&findings);
+    out.push_str(&format!(
+        "\nshape: {passed} criteria passed, {failed} failed\n"
+    ));
+    for f in findings.iter().filter(|f| !f.passed) {
+        out.push_str(&format!("  FAIL {}: {}\n", f.criterion, f.detail));
+    }
     Ok(out)
 }
 
@@ -2328,11 +2366,13 @@ mod tests {
         std::fs::write(&path, sweep.to_json_string()).unwrap();
         let p = path.to_str().unwrap().to_owned();
 
-        // --seed applies to the base (the Seed axis then overrides per
-        // point, so the run still succeeds)...
-        assert!(dispatch(args(&format!("sweep --spec {p} --seed 9"))).is_ok());
-        // ...but experiment-shaping flags are rejected loudly, not
-        // silently dropped.
+        // --reps applies to the base...
+        assert!(dispatch(args(&format!("sweep --spec {p} --reps 10"))).is_ok());
+        // ...but --seed would be replaced by the Seed axis at every
+        // point, so it is rejected loudly, as are experiment-shaping
+        // flags, not silently dropped.
+        let err = dispatch(args(&format!("sweep --spec {p} --seed 9"))).unwrap_err();
+        assert!(err.contains("--seed"), "{err}");
         let err = dispatch(args(&format!("sweep --spec {p} --lambda 2e-3"))).unwrap_err();
         assert!(err.contains("--lambda"), "{err}");
         let err = dispatch(args(&format!("sweep --spec {p} --scheme a_d"))).unwrap_err();

@@ -20,7 +20,8 @@ fn one_spec_file_reproduces_a_table_cell_through_cli_and_runner() {
         reps,
         seed,
         ExecSpec::from_options(&ExecSpec::paper().build().unwrap()),
-    );
+    )
+    .unwrap();
     let runner_result = runner_cell.scheme(SchemeId::Proposed);
 
     // ...and the spec document describing exactly that scheme/cell.

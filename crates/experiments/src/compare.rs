@@ -120,7 +120,8 @@ mod tests {
             800,
             2006,
             ExecSpec::from_options(&paper_model()),
-        );
+        )
+        .unwrap();
         let errors = compare_with_paper(&result);
         assert_eq!(errors.len(), 4);
         for e in &errors {
@@ -156,7 +157,8 @@ mod tests {
             60,
             1,
             ExecSpec::from_options(&paper_model()),
-        );
+        )
+        .unwrap();
         let report = render_comparison(&result);
         for name in ["Poisson", "k-f-t", "A_D", "A_D_S"] {
             assert!(report.contains(name), "missing {name} in:\n{report}");

@@ -18,10 +18,10 @@
 //! claims ("who wins, by roughly what factor") that a successful
 //! reproduction must satisfy.
 //!
-//! Regenerate everything with:
+//! Regenerate a table, with its paper comparison and shape tally, with:
 //!
 //! ```text
-//! cargo run --release -p eacp-experiments --bin gen-tables
+//! cargo run --release -p eacp-cli -- table 1
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,5 +1,5 @@
 //! Rendering of regenerated tables: plain text (side-by-side with the
-//! paper's numbers), Markdown, and CSV.
+//! paper's numbers) and JSON.
 
 use crate::runner::TableResult;
 use crate::tables::{SchemeId, TablePart};
@@ -87,110 +87,6 @@ pub fn to_text(result: &TableResult) -> String {
     out
 }
 
-/// Renders a table as GitHub-flavoured Markdown.
-pub fn to_markdown(result: &TableResult) -> String {
-    let cfg = &result.config;
-    let mut out = format!(
-        "### {} — {} variant (ts={}, tcp={}), baselines at f{}\n\n",
-        result.id,
-        cfg.proposed_name(),
-        cfg.costs.store_cycles,
-        cfg.costs.compare_cycles,
-        cfg.baseline_speed + 1
-    );
-    for part in [TablePart::A, TablePart::B] {
-        let rows: Vec<_> = result
-            .cells
-            .iter()
-            .filter(|c| c.spec.part == part)
-            .collect();
-        if rows.is_empty() {
-            continue;
-        }
-        out.push_str(&format!("**({part}) k = {}**\n\n", rows[0].spec.k));
-        out.push_str(&format!(
-            "| U | λ | | Poisson | k-f-t | A_D | {} |\n|---|---|---|---|---|---|---|\n",
-            cfg.proposed_name()
-        ));
-        for cell in rows {
-            for metric in ["P", "E"] {
-                let mut line = if metric == "P" {
-                    format!(
-                        "| {} | {:.1e} | {} |",
-                        cell.spec.utilization, cell.spec.lambda, metric
-                    )
-                } else {
-                    format!("| | | {metric} |")
-                };
-                for scheme in SchemeId::ALL {
-                    let s = cell.scheme(scheme);
-                    let (meas, pap) = if metric == "P" {
-                        (
-                            fmt_p(s.summary.p_timely()),
-                            cell.paper.map(|p| fmt_p(p.p_of(scheme))),
-                        )
-                    } else {
-                        (
-                            fmt_e(s.summary.mean_energy_timely()),
-                            cell.paper.map(|p| fmt_e(p.e_of(scheme))),
-                        )
-                    };
-                    match pap {
-                        Some(p) => line.push_str(&format!(" {meas} ({p}) |")),
-                        None => line.push_str(&format!(" {meas} |")),
-                    }
-                }
-                out.push_str(&line);
-                out.push('\n');
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders a table as CSV with one row per (cell, scheme): all measured
-/// aggregates plus the paper's `P`/`E` for direct post-processing.
-pub fn to_csv(result: &TableResult) -> String {
-    let mut out = String::from(
-        "table,part,k,utilization,lambda,scheme,p_timely,p_ci_lo,p_ci_hi,\
-         energy_timely,energy_all,finish_timely,faults_mean,rollbacks_mean,\
-         checkpoints_mean,fast_fraction,paper_p,paper_e\n",
-    );
-    for cell in &result.cells {
-        for scheme in SchemeId::ALL {
-            let s = cell.scheme(scheme);
-            let (lo, hi) = s.summary.p_timely_ci(1.96);
-            let (pp, pe) = cell
-                .paper
-                .map(|p| (p.p_of(scheme), p.e_of(scheme)))
-                .unwrap_or((f64::NAN, f64::NAN));
-            out.push_str(&format!(
-                "{},{},{},{},{:e},{},{:.6},{:.6},{:.6},{:.2},{:.2},{:.2},{:.4},{:.4},{:.2},{:.5},{:.4},{:.1}\n",
-                result.id.number(),
-                cell.spec.part,
-                cell.spec.k,
-                cell.spec.utilization,
-                cell.spec.lambda,
-                s.name,
-                s.summary.p_timely(),
-                lo,
-                hi,
-                s.summary.mean_energy_timely(),
-                s.summary.energy_all.mean(),
-                s.summary.finish_timely.mean(),
-                s.summary.faults.mean(),
-                s.summary.rollbacks.mean(),
-                s.summary.checkpoints.mean(),
-                s.summary.fast_fraction.mean(),
-                pp,
-                pe,
-            ));
-        }
-    }
-    out
-}
-
 /// Renders a table as a JSON document: the cell grid with, per scheme, the
 /// full serializable [`SummaryReport`](eacp_spec::SummaryReport), the spec
 /// that produced it, and the paper's reference values. This is the
@@ -247,7 +143,7 @@ mod tests {
     use crate::tables::TableId;
 
     fn small_table() -> TableResult {
-        run_table(TableId::Table1, 30, 7, eacp_spec::ExecSpec::default())
+        run_table(TableId::Table1, 30, 7, eacp_spec::ExecSpec::default()).unwrap()
     }
 
     #[test]
@@ -279,27 +175,5 @@ mod tests {
         assert!(t.contains("A_D_S"));
         // One P-line and one E-line per row.
         assert_eq!(t.matches(" P ").count() + t.matches(" P\n").count(), 14);
-    }
-
-    #[test]
-    fn markdown_is_well_formed() {
-        let r = small_table();
-        let md = to_markdown(&r);
-        assert!(md.starts_with("### Table 1"));
-        assert!(md.contains("| U | λ |"));
-        // Two data lines per cell: 14 P-rows and 14 E-rows.
-        assert_eq!(md.matches("| P |").count(), 14);
-        assert_eq!(md.matches("| E |").count(), 14);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let r = small_table();
-        let csv = to_csv(&r);
-        let lines: Vec<_> = csv.lines().collect();
-        assert!(lines[0].starts_with("table,part,k"));
-        // 14 cells × 4 schemes + header.
-        assert_eq!(lines.len(), 14 * 4 + 1);
-        assert!(lines[1].starts_with("1,a,5,0.76"));
     }
 }

@@ -13,7 +13,7 @@ use eacp_core::policies::SubCheckpointKind;
 use eacp_sim::Summary;
 use eacp_spec::{
     CostsSpec, DvsSpec, ExecSpec, ExperimentSpec, FaultSpec, McSpec, PolicySpec, ScenarioSpec,
-    SummaryReport, WorkSpec,
+    SpecError, SummaryReport, WorkSpec,
 };
 
 /// Result of one scheme at one operating point.
@@ -166,43 +166,53 @@ pub fn cell_experiment_exec(
 /// replications are scheduled through the work-queue runner
 /// (`eacp_exec::run` dispatches on it) — summaries are bit-identical
 /// either way.
+///
+/// # Errors
+///
+/// Returns the [`SpecError`] of a cell spec that does not validate — a
+/// zero `replications`, or an `executor` the engine rejects.
 pub fn run_cell(
     config: &TableConfig,
     spec: &CellSpec,
     replications: u64,
     seed: u64,
     executor: ExecSpec,
-) -> CellResult {
+) -> Result<CellResult, SpecError> {
     let schemes = SchemeId::ALL
         .iter()
         .map(|&scheme| {
             let experiment =
                 cell_experiment_exec(config, spec, scheme, replications, seed, executor.clone());
-            let (summary, report) =
-                // audit:allow(panic): specs are assembled from validated
-                // table constants; eacp_exec::run only errs on invalid specs.
-                eacp_exec::run(&experiment).expect("table cells are valid experiment specs");
+            let (summary, report) = eacp_exec::run(&experiment)?;
             debug_assert_eq!(summary.anomalies, 0, "policy anomaly in {scheme:?}");
-            SchemeResult {
+            Ok(SchemeResult {
                 scheme,
                 name: report.policy_name,
                 summary,
                 spec: experiment,
-            }
+            })
         })
-        .collect();
-    CellResult {
+        .collect::<Result<_, SpecError>>()?;
+    Ok(CellResult {
         spec: *spec,
         schemes,
         paper: paper_cell(config.id, spec.part, spec.utilization, spec.lambda),
-    }
+    })
 }
 
 /// Regenerates one full table at the given replication count (the paper
 /// uses 10,000; lower counts are useful for quick looks and CI) under
-/// `executor` (see [`run_cell`]); `gen-tables --queue-workers N`
-/// regenerates whole tables through the work-queue scheduler this way.
-pub fn run_table(id: TableId, replications: u64, seed: u64, executor: ExecSpec) -> TableResult {
+/// `executor` (see [`run_cell`]).
+///
+/// # Errors
+///
+/// Returns the first cell's [`SpecError`] (see [`run_cell`]).
+pub fn run_table(
+    id: TableId,
+    replications: u64,
+    seed: u64,
+    executor: ExecSpec,
+) -> Result<TableResult, SpecError> {
     let config = crate::tables::table_config(id);
     let cells = config
         .cells
@@ -217,13 +227,13 @@ pub fn run_table(id: TableId, replications: u64, seed: u64, executor: ExecSpec) 
                 executor.clone(),
             )
         })
-        .collect();
-    TableResult {
+        .collect::<Result<_, SpecError>>()?;
+    Ok(TableResult {
         id,
         config,
         cells,
         replications,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -257,7 +267,7 @@ mod tests {
     fn smoke_cell_runs_all_schemes() {
         let cfg = table_config(TableId::Table1);
         let spec = cfg.cells[0]; // U = 0.76, λ = 1.4e-3, k = 5
-        let cell = run_cell(&cfg, &spec, 60, 1, ExecSpec::default());
+        let cell = run_cell(&cfg, &spec, 60, 1, ExecSpec::default()).unwrap();
         assert_eq!(cell.schemes.len(), 4);
         assert!(cell.paper.is_some());
         for s in &cell.schemes {
@@ -281,7 +291,7 @@ mod tests {
             .iter()
             .find(|c| c.part == TablePart::B && (c.utilization - 1.0).abs() < 1e-9)
             .unwrap();
-        let cell = run_cell(&cfg, &spec, 40, 2, ExecSpec::default());
+        let cell = run_cell(&cfg, &spec, 40, 2, ExecSpec::default()).unwrap();
         let poisson = &cell.scheme(SchemeId::Poisson).summary;
         assert_eq!(poisson.p_timely(), 0.0);
         assert!(poisson.mean_energy_timely().is_nan());
@@ -293,7 +303,7 @@ mod tests {
         // serialized to JSON and re-run elsewhere, gives the same Summary.
         let cfg = table_config(TableId::Table1);
         let spec = cfg.cells[0];
-        let cell = run_cell(&cfg, &spec, 50, 3, ExecSpec::default());
+        let cell = run_cell(&cfg, &spec, 50, 3, ExecSpec::default()).unwrap();
         for s in &cell.schemes {
             let json = s.spec.to_json_string();
             let reread = ExperimentSpec::from_json_str(&json).unwrap();
@@ -307,7 +317,7 @@ mod tests {
     fn queued_cell_is_bit_identical_to_the_plain_cell() {
         let cfg = table_config(TableId::Table1);
         let spec = cfg.cells[0];
-        let plain = run_cell(&cfg, &spec, 40, 6, ExecSpec::default());
+        let plain = run_cell(&cfg, &spec, 40, 6, ExecSpec::default()).unwrap();
         let queued = run_cell(
             &cfg,
             &spec,
@@ -317,7 +327,8 @@ mod tests {
                 workers: 3,
                 ..Default::default()
             }),
-        );
+        )
+        .unwrap();
         for (a, b) in plain.schemes.iter().zip(&queued.schemes) {
             assert_eq!(a.summary, b.summary, "scheme {}", a.name);
             assert!(b.spec.executor.queue.is_some());
@@ -327,7 +338,7 @@ mod tests {
     #[test]
     fn scheme_result_report_matches_summary() {
         let cfg = table_config(TableId::Table1);
-        let cell = run_cell(&cfg, &cfg.cells[0], 30, 1, ExecSpec::default());
+        let cell = run_cell(&cfg, &cfg.cells[0], 30, 1, ExecSpec::default()).unwrap();
         let s = cell.scheme(SchemeId::Proposed);
         let report = s.summary_report();
         assert_eq!(report.replications, 30);

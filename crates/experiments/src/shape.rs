@@ -4,8 +4,8 @@
 //! a reimplementation, so exact values are not expected to match. What
 //! *must* match is the shape of the comparison — who wins, by roughly what
 //! factor, and where the regimes flip. These checks encode the paper's
-//! claims and are evaluated by the `gen-tables` binary
-//! and the workspace integration tests.
+//! claims and are evaluated by `eacp table N`, which prints the tally and
+//! every failing criterion, and by the workspace integration tests.
 
 use crate::runner::TableResult;
 use crate::tables::{SchemeId, TableId, TablePart};
@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn shape_holds_on_reduced_table1() {
         // 250 replications are enough for every qualitative criterion.
-        let result = run_table(TableId::Table1, 250, 3, eacp_spec::ExecSpec::default());
+        let result = run_table(TableId::Table1, 250, 3, eacp_spec::ExecSpec::default()).unwrap();
         let findings = check_table(&result);
         let (passed, failed) = tally(&findings);
         let failures: Vec<_> = findings

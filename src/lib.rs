@@ -53,7 +53,7 @@
 //! ```
 //!
 //! Regenerate the paper's tables with
-//! `cargo run --release -p eacp-experiments --bin gen-tables`; the
+//! `cargo run --release -p eacp-cli -- table N`; the
 //! README's "Reproducing the paper" section compares them with the paper.
 
 #![forbid(unsafe_code)]

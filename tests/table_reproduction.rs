@@ -1,8 +1,8 @@
 //! Reduced-replication reproduction of the paper's tables: quantitative
 //! proximity on anchor cells and the qualitative shape criteria everywhere.
 //!
-//! Full 10,000-replication tables are regenerated by
-//! `cargo run --release -p eacp-experiments --bin gen-tables`; these tests
+//! Full 10,000-replication tables are regenerated by `eacp table N`
+//! (`cargo run --release -p eacp-cli -- table 1`); these tests
 //! keep CI fast while still checking the claims end to end.
 
 use eacp::experiments::shape::{check_table, tally};
@@ -25,7 +25,8 @@ fn table1_shape_and_anchors() {
         1_500,
         2006,
         ExecSpec::from_options(&paper_options()),
-    );
+    )
+    .unwrap();
     let findings = check_table(&result);
     let (_, failed) = tally(&findings);
     let msgs: Vec<_> = findings
@@ -58,7 +59,8 @@ fn table2_shape_and_crossover() {
         1_200,
         2006,
         ExecSpec::from_options(&paper_options()),
-    );
+    )
+    .unwrap();
     let findings = check_table(&result);
     let (_, failed) = tally(&findings);
     let msgs: Vec<_> = findings
@@ -99,7 +101,8 @@ fn table3_shape_holds() {
         1_000,
         2006,
         ExecSpec::from_options(&paper_options()),
-    );
+    )
+    .unwrap();
     let findings = check_table(&result);
     let (_, failed) = tally(&findings);
     let msgs: Vec<_> = findings
@@ -117,7 +120,8 @@ fn table4_shape_holds() {
         1_000,
         2006,
         ExecSpec::from_options(&paper_options()),
-    );
+    )
+    .unwrap();
     let findings = check_table(&result);
     let (_, failed) = tally(&findings);
     let msgs: Vec<_> = findings
@@ -137,7 +141,8 @@ fn nan_cells_reproduce() {
         300,
         9,
         ExecSpec::from_options(&paper_options()),
-    );
+    )
+    .unwrap();
     for cell in result
         .cells
         .iter()
