@@ -1,8 +1,8 @@
 //! Command-line robustness: each command takes a fixed number of
 //! positional arguments and names any extra one; integer flags parse as
 //! integers; no flag is silently ignored (`table` names a flag it does not
-//! read, a grid with a seed axis rejects `--seed`); bad table input is an
-//! error, not a panic; spec documents nested past the JSON depth limit are
+//! read, a grid with a seed axis rejects `--seed`); bad table input and
+//! replication counts past 2^53 are errors, not panics or aborts; spec documents nested past the JSON depth limit are
 //! typed errors, not stack overflows; and a reader that closes stdout
 //! early ends the binary quietly.
 
@@ -131,6 +131,28 @@ fn integer_flags_parse_as_integers() {
 fn table_reports_bad_replications_as_an_error() {
     let err = dispatch(args("table 1 --reps 0")).unwrap_err();
     assert!(err.contains("replications must be positive"), "{err}");
+}
+
+#[test]
+fn huge_replication_counts_are_spec_errors() {
+    // Past 2^53 replications the f64 statistics no longer count exactly,
+    // so each spec kind rejects the count, naming the field, before a
+    // runner lays out any block schedule.
+    use std::process::Command;
+    for line in ["mc", "table 1", "executive --preset avionics-trio --mc"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_eacp"))
+            .args(args(line))
+            .args(["--reps", "18446744073709551615"])
+            .output()
+            .expect("run eacp");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+        assert!(stderr.starts_with("eacp:"), "{line}: {stderr}");
+        assert!(
+            stderr.contains("replications must be at most 2^53"),
+            "{line}: {stderr}"
+        );
+    }
 }
 
 #[test]

@@ -401,7 +401,9 @@ impl Policy for Adaptive {
             return None; // the interval-boundary abort guard would fire
         }
         // Between errors the schedule is fixed (the paper replans only on
-        // faults): the rest of this CSCP interval is committed in advance.
+        // detected faults): the rest of this CSCP interval is committed in
+        // advance. A mismatch inside the window clears the plan in
+        // `on_compare`, as it would after the equivalent `plan()` calls.
         let subs = (plan.m - 1).checked_sub(plan.segments_done)?;
         let sub_kind = match self.sub {
             Some(SubCheckpointKind::Compare) => CheckpointKind::Compare,

@@ -150,6 +150,58 @@ impl ExecutorScratch {
     }
 }
 
+/// The fault stream as the engine consumes it: the next pre-sampled
+/// arrival, and whether a fault struck since the two processors' states
+/// last provably agreed (their running states now differ).
+struct Arrivals<'f, F: ?Sized> {
+    process: &'f mut F,
+    next: f64,
+    diverged: bool,
+}
+
+impl<F: FaultProcess + ?Sized> Arrivals<'_, F> {
+    /// Advances `now` by `dt`, consuming the arrivals that land in the
+    /// window; in a `vulnerable` window they strike and are counted. An
+    /// empty window costs one comparison: consuming is out of line, so the
+    /// step loop keeps its floats in registers.
+    #[inline(always)]
+    fn advance<O: Observer + ?Sized>(
+        &mut self,
+        now: &mut f64,
+        dt: f64,
+        vulnerable: bool,
+        obs: &mut O,
+    ) -> u32 {
+        *now += dt;
+        if self.next < *now {
+            self.consume(*now, vulnerable, obs)
+        } else {
+            0
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn consume<O: Observer + ?Sized>(&mut self, end: f64, vulnerable: bool, obs: &mut O) -> u32 {
+        let mut hit = 0;
+        while self.next < end {
+            if vulnerable {
+                self.diverged = true;
+                hit += 1;
+                // Which processor a fault corrupts is irrelevant to
+                // detection (any divergence fails the comparison); tag
+                // pseudo-randomly from the arrival bits for trace realism.
+                obs.on_event(&TraceEvent::Fault {
+                    at: self.next,
+                    processor: (self.next.to_bits() >> 3) as u32 & 1,
+                });
+            }
+            self.next = self.process.next_fault();
+        }
+        hit
+    }
+}
+
 /// Executes one task run under a [`Policy`] and a fault stream.
 ///
 /// See the crate-level documentation for the execution model, and
@@ -244,10 +296,11 @@ impl<'s> Executor<'s> {
             pos: 0.0,
             clean: true,
         });
-        // Time of the first fault since the states last provably agreed;
-        // `Some` means the running states currently diverge.
-        let mut pending_fault: Option<f64> = None;
-        let mut next_fault = faults.next_fault();
+        let mut arrivals = Arrivals {
+            next: faults.next_fault(),
+            process: faults,
+            diverged: false,
+        };
 
         let mut out = RunOutcome {
             completed: false,
@@ -271,8 +324,8 @@ impl<'s> Executor<'s> {
         let mut stalled_rounds: u32 = 0;
         let mut deadline_missed = false;
 
-        // One planning-view constructor for both planning points in the
-        // loop (pre-segment plan and post-compare notification).
+        // One planning-view constructor for every planning point in the
+        // loop (commit window, plan and post-compare notification).
         let plan_ctx = |now: f64, pos: f64, speed: usize| PlanContext {
             now,
             position_cycles: pos,
@@ -283,44 +336,7 @@ impl<'s> Executor<'s> {
             dvs,
         };
 
-        // Advances wall-clock time by `dt`, consuming fault arrivals that
-        // land in the window. Returns the number of faults consumed.
-        // (A fn, not a closure, so `next_fault` stays a plain local the
-        // commit-window fast path below can read between calls.)
-        fn advance<F: FaultProcess + ?Sized, O: Observer + ?Sized>(
-            faults: &mut F,
-            next_fault: &mut f64,
-            now: &mut f64,
-            dt: f64,
-            pending: &mut Option<f64>,
-            vulnerable: bool,
-            obs: &mut O,
-        ) -> u32 {
-            let end = *now + dt;
-            let mut hit = 0;
-            while *next_fault < end {
-                if vulnerable {
-                    if pending.is_none() {
-                        *pending = Some(*next_fault);
-                    }
-                    hit += 1;
-                    // Which processor a fault corrupts is irrelevant to
-                    // detection (any divergence fails the comparison); tag
-                    // pseudo-randomly from the arrival bits for trace
-                    // realism.
-                    let proc = (next_fault.to_bits() >> 3) as u32 & 1;
-                    obs.on_event(&TraceEvent::Fault {
-                        at: *next_fault,
-                        processor: proc,
-                    });
-                }
-                *next_fault = faults.next_fault();
-            }
-            *now = end;
-            hit
-        }
-
-        loop {
+        'run: loop {
             if self.options.stop_at_deadline && now > deadline {
                 break;
             }
@@ -329,299 +345,242 @@ impl<'s> Executor<'s> {
                 break;
             }
 
-            // --- Commit-window fast path ------------------------------
-            // When the policy publishes its committed schedule up to the
-            // next commit ([`Policy::commit_window`]) and the pre-sampled
-            // next fault arrival provably lands beyond it, the whole
-            // window executes here in a tight loop. Every float operation
-            // below is the exact operation the general path performs, on
-            // the same operands in the same order, so the run state stays
-            // bit-identical; the window skips only work that provably has
-            // no effect — per-segment `plan()` calls, directive
-            // validation, fault scans over empty windows and clean-compare
-            // notifications (no-ops by the `commit_window` contract).
-            // The guards are conservative (margins of 1e-6 against
-            // accumulated rounding of ~1e-10), so near-boundary windows
-            // fall back to the general path below instead of ever risking
-            // a decision the scalar path would not have made.
-            if pending_fault.is_none() {
-                if let Some(w) = policy.commit_window(&plan_ctx(now, pos, speed)) {
+            // --- The next run --------------------------------------------
+            // A run is `subs` segments each followed by a `sub_kind`
+            // checkpoint, then one segment followed by `last_kind`. It is
+            // either the policy's committed window up to its next commit
+            // ([`Policy::commit_window`]), taken without per-segment
+            // `plan()` calls, or one validated `plan()` directive
+            // (`subs == 0`). Faults need no special case: they stay
+            // invisible until a comparing checkpoint, whose mismatch rolls
+            // back and ends the run. The window guards are conservative
+            // (margins of 1e-6 against accumulated rounding of ~1e-10):
+            // every segment provably runs its full `compute_time` before
+            // the deadline, the op budget and the task end, so the window
+            // performs exactly the float operations the `plan()` path
+            // would, on the same operands in the same order.
+            let window = policy
+                .commit_window(&plan_ctx(now, pos, speed))
+                .filter(|w| {
                     let subs = w.subs as f64;
                     let seg_cycles = w.compute_time * level.frequency;
-                    let sub_time = times.op_time(w.sub_kind);
-                    let span =
-                        (subs + 1.0) * w.compute_time + subs * sub_time + times.compare_store;
+                    let span = (subs + 1.0) * w.compute_time
+                        + subs * times.op_time(w.sub_kind)
+                        + times.compare_store;
                     // Conservative upper bound on the window's end time,
                     // and lower bounds on the work remaining before the
                     // final segment / after the whole window.
                     let upper = (now + span) * (1.0 + 1e-9) + 1e-9;
                     let before_final = (task.work_cycles - pos) - subs * seg_cycles * (1.0 + 1e-9);
                     let after_window = before_final - seg_cycles * (1.0 + 1e-9);
-                    let fits = w.speed == speed
+                    w.speed == speed
                         && w.compute_time > 0.0
                         && w.compute_time.is_finite()
                         && w.sub_kind != CheckpointKind::CompareStore
-                        && next_fault > upper
                         && upper <= deadline
                         && ops + 2 * (w.subs as u64 + 1) <= self.options.max_operations
                         && before_final / level.frequency > w.compute_time + 1e-6
-                        && after_window > 1e-6;
-                    if fits {
-                        let sub_cycles = costs.cycles_of(w.sub_kind);
-                        let cscp_cycles = costs.cycles_of(CheckpointKind::CompareStore);
-                        for i in 0..=w.subs {
-                            let last = i == w.subs;
-                            let kind = if last {
-                                CheckpointKind::CompareStore
-                            } else {
-                                w.sub_kind
-                            };
-                            // Segment (the scalar path with `dur ==
-                            // compute_time` and an empty fault window).
-                            obs.on_event(&TraceEvent::Segment {
-                                from: now,
-                                to: now + w.compute_time,
+                        && after_window > 1e-6
+                });
+            let (dur, subs, sub_kind, last_kind) = match window {
+                Some(w) => (
+                    w.compute_time,
+                    w.subs,
+                    w.sub_kind,
+                    CheckpointKind::CompareStore,
+                ),
+                None => {
+                    let (want_speed, compute_time, checkpoint) =
+                        match policy.plan(&plan_ctx(now, pos, speed)) {
+                            Directive::Abort => {
+                                out.aborted = true;
+                                break;
+                            }
+                            Directive::Run {
                                 speed,
-                            });
-                            now += w.compute_time;
-                            pos = (pos + seg_cycles).min(task.work_cycles);
-                            meter.record_cycles(seg_cycles, level);
-                            out.segments += 1;
-                            // Checkpoint operation (clean by construction).
-                            let op_cycles = if last { cscp_cycles } else { sub_cycles };
-                            let op_time = if last { times.compare_store } else { sub_time };
-                            obs.on_event(&TraceEvent::Checkpoint {
-                                kind,
-                                from: now,
-                                to: now + op_time,
-                                position: pos,
-                                mismatch: false,
-                            });
-                            now += op_time;
-                            if op_cycles > 0.0 {
-                                meter.record_cycles(op_cycles, level);
-                            }
-                            ops += 2;
-                            match kind {
-                                CheckpointKind::Store => {
-                                    out.store_checkpoints += 1;
-                                    stores.push(StorePoint { pos, clean: true });
-                                }
-                                CheckpointKind::Compare => out.compare_checkpoints += 1,
-                                CheckpointKind::CompareStore => {
-                                    out.compare_store_checkpoints += 1;
-                                    stores.clear();
-                                    stores.push(StorePoint { pos, clean: true });
-                                }
-                            }
-                            obs.on_energy_sample(now, meter.total());
+                                compute_time,
+                                checkpoint,
+                            } => (speed, compute_time, checkpoint),
+                        };
+                    if want_speed >= dvs.len() {
+                        out.anomaly = Some(Anomaly::InvalidSpeed);
+                        break;
+                    }
+                    if !compute_time.is_finite() || compute_time < 0.0 {
+                        out.anomaly = Some(Anomaly::InvalidComputeTime);
+                        break;
+                    }
+                    if want_speed != speed {
+                        obs.on_event(&TraceEvent::SpeedChange {
+                            at: now,
+                            from: speed,
+                            to: want_speed,
+                        });
+                        speed = want_speed;
+                        level = dvs.level(speed);
+                        times = LevelTimes::new(costs, level);
+                        out.speed_switches += 1;
+                        if dvs.switch_time > 0.0 {
+                            arrivals.advance(
+                                &mut now,
+                                dvs.switch_time,
+                                self.options.faults_during_overhead,
+                                obs,
+                            );
                         }
-                        policy.on_commit_window_executed();
-                        stalled_rounds = 0;
-                        continue;
+                        if dvs.switch_energy > 0.0 {
+                            meter.record_switch(dvs.switch_energy);
+                        }
                     }
+                    let remaining_time = times.time_for(task.work_cycles - pos, level.frequency);
+                    let dur = compute_time.min(remaining_time).max(0.0);
+                    (dur, 0, checkpoint, checkpoint)
                 }
-            }
-
-            let directive = policy.plan(&plan_ctx(now, pos, speed));
-
-            let (want_speed, compute_time, checkpoint) = match directive {
-                Directive::Abort => {
-                    out.aborted = true;
-                    break;
-                }
-                Directive::Run {
-                    speed,
-                    compute_time,
-                    checkpoint,
-                } => (speed, compute_time, checkpoint),
             };
-
-            if want_speed >= dvs.len() {
-                out.anomaly = Some(Anomaly::InvalidSpeed);
-                break;
-            }
-            if !compute_time.is_finite() || compute_time < 0.0 {
-                out.anomaly = Some(Anomaly::InvalidComputeTime);
-                break;
-            }
-
-            if want_speed != speed {
-                obs.on_event(&TraceEvent::SpeedChange {
-                    at: now,
-                    from: speed,
-                    to: want_speed,
-                });
-                speed = want_speed;
-                level = dvs.level(speed);
-                times = LevelTimes::new(costs, level);
-                out.speed_switches += 1;
-                if dvs.switch_time > 0.0 {
-                    advance(
-                        faults,
-                        &mut next_fault,
-                        &mut now,
-                        dvs.switch_time,
-                        &mut pending_fault,
-                        self.options.faults_during_overhead,
-                        obs,
-                    );
-                }
-                if dvs.switch_energy > 0.0 {
-                    meter.record_switch(dvs.switch_energy);
-                }
-            }
-            // --- Computation segment -------------------------------------
-            let remaining_time = times.time_for(task.work_cycles - pos, level.frequency);
-            let dur = compute_time.min(remaining_time).max(0.0);
+            // Per-run constants: the step loop below only reads them.
+            let windowed = window.is_some();
             let progressed = dur > 0.0;
-            if progressed {
-                // Emit the segment before consuming its fault window so the
-                // trace stays sorted by event start time.
-                obs.on_event(&TraceEvent::Segment {
-                    from: now,
-                    to: now + dur,
-                    speed,
-                });
-                out.faults += advance(
-                    faults,
-                    &mut next_fault,
-                    &mut now,
-                    dur,
-                    &mut pending_fault,
-                    true,
-                    obs,
-                );
-                let cycles = dur * level.frequency;
-                pos = (pos + cycles).min(task.work_cycles);
-                meter.record_cycles(cycles, level);
-                out.segments += 1;
-                ops += 1;
-            }
+            let seg_cycles = dur * level.frequency;
+            let (sub_cycles, sub_time) = (costs.cycles_of(sub_kind), times.op_time(sub_kind));
+            let (last_cycles, last_time) = (costs.cycles_of(last_kind), times.op_time(last_kind));
 
-            // --- Checkpoint operation ------------------------------------
-            // Snapshot/comparison semantics are evaluated at operation
-            // start; the operation's own duration is still fault-exposed.
-            let snapshot_diverged = pending_fault.is_some();
-            let op_cycles = costs.cycles_of(checkpoint);
-            let op_time = times.op_time(checkpoint);
-            obs.on_event(&TraceEvent::Checkpoint {
-                kind: checkpoint,
-                from: now,
-                to: now + op_time,
-                position: pos,
-                mismatch: checkpoint.compares() && snapshot_diverged,
-            });
-            out.faults += advance(
-                faults,
-                &mut next_fault,
-                &mut now,
-                op_time,
-                &mut pending_fault,
-                self.options.faults_during_overhead,
-                obs,
-            );
-            if op_cycles > 0.0 {
-                meter.record_cycles(op_cycles, level);
-            }
-            ops += 1;
-            match checkpoint {
-                CheckpointKind::Store => out.store_checkpoints += 1,
-                CheckpointKind::Compare => out.compare_checkpoints += 1,
-                CheckpointKind::CompareStore => out.compare_store_checkpoints += 1,
-            }
+            for step in 0..=subs {
+                let (checkpoint, op_cycles, op_time) = if step == subs {
+                    (last_kind, last_cycles, last_time)
+                } else {
+                    (sub_kind, sub_cycles, sub_time)
+                };
 
-            let mut rolled_back = false;
-            match checkpoint {
-                CheckpointKind::Store => {
-                    stores.push(StorePoint {
-                        pos,
-                        clean: !snapshot_diverged,
+                // --- Computation segment ---------------------------------
+                if progressed {
+                    // Emit the segment before consuming its fault window so
+                    // the trace stays sorted by event start time.
+                    obs.on_event(&TraceEvent::Segment {
+                        from: now,
+                        to: now + dur,
+                        speed,
                     });
+                    out.faults += arrivals.advance(&mut now, dur, true, obs);
+                    pos = (pos + seg_cycles).min(task.work_cycles);
+                    meter.record_cycles(seg_cycles, level);
+                    out.segments += 1;
+                    ops += 1;
                 }
-                CheckpointKind::Compare => {
-                    if !snapshot_diverged {
-                        // Agreement verified, but nothing stored: rollback
-                        // targets are unchanged (paper Fig. 5 semantics).
-                    } else {
-                        rolled_back = true;
-                    }
-                }
-                CheckpointKind::CompareStore => {
-                    if !snapshot_diverged {
-                        // Commit: this snapshot is verified-equal and
-                        // stored; earlier targets can never be needed again.
-                        stores.clear();
-                        stores.push(StorePoint { pos, clean: true });
-                    } else {
-                        rolled_back = true;
-                    }
-                }
-            }
 
-            if rolled_back {
-                // Discard snapshots taken after the divergence began: the
-                // newest clean snapshot is the rollback target. The bottom
-                // of the stack is always a clean committed state.
-                while stores.last().is_some_and(|s| !s.clean) {
-                    stores.pop();
-                }
-                // audit:allow(panic): the bottom of the store stack is the
-                // initial committed state and is never popped (`!s.clean`
-                // is false for it), so `last()` cannot be empty here.
-                let target = *stores.last().expect("a committed state always remains");
-                debug_assert!(target.clean);
-                pos = target.pos;
-                pending_fault = None;
-                out.rollbacks += 1;
-                let rb_time = times.rollback;
-                obs.on_event(&TraceEvent::Rollback {
+                // --- Checkpoint operation --------------------------------
+                // Snapshot/comparison semantics are evaluated at operation
+                // start; the operation's own duration is still
+                // fault-exposed.
+                let snapshot_diverged = arrivals.diverged;
+                let mismatch = checkpoint.compares() && snapshot_diverged;
+                obs.on_event(&TraceEvent::Checkpoint {
+                    kind: checkpoint,
                     from: now,
-                    to: now + rb_time,
-                    to_position: target.pos,
+                    to: now + op_time,
+                    position: pos,
+                    mismatch,
                 });
-                if costs.rollback_cycles > 0.0 {
-                    out.faults += advance(
-                        faults,
-                        &mut next_fault,
-                        &mut now,
-                        rb_time,
-                        &mut pending_fault,
-                        self.options.faults_during_overhead,
-                        obs,
-                    );
-                    meter.record_cycles(costs.rollback_cycles, level);
+                out.faults +=
+                    arrivals.advance(&mut now, op_time, self.options.faults_during_overhead, obs);
+                if op_cycles > 0.0 {
+                    meter.record_cycles(op_cycles, level);
                 }
-            } else if checkpoint.compares() && !snapshot_diverged && pos >= task.work_cycles - 1e-9
-            {
-                // All work done and verified by a passing comparison.
-                out.completed = true;
-                out.timely = now <= deadline;
-                obs.on_event(&TraceEvent::Complete { at: now });
-            }
-            obs.on_energy_sample(now, meter.total());
-            if !deadline_missed && now > deadline {
-                deadline_missed = true;
-                obs.on_deadline_miss(now);
-            }
-
-            if checkpoint.compares() {
-                policy.on_compare(&plan_ctx(now, pos, speed), checkpoint, snapshot_diverged);
-            }
-
-            if out.completed {
-                break;
-            }
-
-            if progressed || rolled_back || op_cycles > 0.0 {
-                stalled_rounds = 0;
-            } else {
-                stalled_rounds += 1;
-                if stalled_rounds > self.options.max_stalled_rounds {
-                    out.anomaly = Some(Anomaly::NoProgress);
-                    break;
+                ops += 1;
+                match checkpoint {
+                    CheckpointKind::Store => {
+                        out.store_checkpoints += 1;
+                        stores.push(StorePoint {
+                            pos,
+                            clean: !snapshot_diverged,
+                        });
+                    }
+                    // A clean CCP verifies agreement but stores nothing:
+                    // rollback targets are unchanged (paper Fig. 5
+                    // semantics).
+                    CheckpointKind::Compare => out.compare_checkpoints += 1,
+                    CheckpointKind::CompareStore => {
+                        out.compare_store_checkpoints += 1;
+                        if !mismatch {
+                            // Commit: this snapshot is verified-equal and
+                            // stored; earlier targets can never be needed
+                            // again.
+                            stores.clear();
+                            stores.push(StorePoint { pos, clean: true });
+                        }
+                    }
                 }
+
+                if mismatch {
+                    // Discard snapshots taken after the divergence began:
+                    // the newest clean snapshot is the rollback target. The
+                    // bottom of the stack is always a clean committed state.
+                    while stores.last().is_some_and(|s| !s.clean) {
+                        stores.pop();
+                    }
+                    // audit:allow(panic): the bottom of the store stack is
+                    // the initial committed state and is never popped
+                    // (`!s.clean` is false for it), so `last()` cannot be
+                    // empty here.
+                    let target = *stores.last().expect("a committed state always remains");
+                    debug_assert!(target.clean);
+                    pos = target.pos;
+                    arrivals.diverged = false;
+                    out.rollbacks += 1;
+                    let rb_time = times.rollback;
+                    obs.on_event(&TraceEvent::Rollback {
+                        from: now,
+                        to: now + rb_time,
+                        to_position: target.pos,
+                    });
+                    if costs.rollback_cycles > 0.0 {
+                        out.faults += arrivals.advance(
+                            &mut now,
+                            rb_time,
+                            self.options.faults_during_overhead,
+                            obs,
+                        );
+                        meter.record_cycles(costs.rollback_cycles, level);
+                    }
+                } else if windowed {
+                    // A clean window step: the guards rule out completion,
+                    // the deadline and a stall, and clean-compare
+                    // notifications are no-ops by the `commit_window`
+                    // contract.
+                    obs.on_energy_sample(now, meter.total());
+                    continue;
+                } else if checkpoint.compares() && pos >= task.work_cycles - 1e-9 {
+                    // All work done and verified by a passing comparison.
+                    out.completed = true;
+                    out.timely = now <= deadline;
+                    obs.on_event(&TraceEvent::Complete { at: now });
+                }
+
+                // --- End of the run: one directive, or a detected fault ---
+                obs.on_energy_sample(now, meter.total());
+                if !deadline_missed && now > deadline {
+                    deadline_missed = true;
+                    obs.on_deadline_miss(now);
+                }
+                if checkpoint.compares() {
+                    policy.on_compare(&plan_ctx(now, pos, speed), checkpoint, mismatch);
+                }
+                if out.completed {
+                    break 'run;
+                }
+                if progressed || mismatch || op_cycles > 0.0 {
+                    stalled_rounds = 0;
+                } else {
+                    stalled_rounds += 1;
+                    if stalled_rounds > self.options.max_stalled_rounds {
+                        out.anomaly = Some(Anomaly::NoProgress);
+                        break 'run;
+                    }
+                }
+                continue 'run;
             }
+            // The window ran to its clean commit.
+            policy.on_commit_window_executed();
+            stalled_rounds = 0;
         }
 
         if out.aborted {

@@ -105,7 +105,8 @@ impl Directive {
 /// A fixed stretch of a policy's committed schedule, ending at its next
 /// commit: `subs` segments of `compute_time` at `speed`, each followed by
 /// a `sub_kind` checkpoint, then one final segment followed by a
-/// [`CheckpointKind::CompareStore`].
+/// [`CheckpointKind::CompareStore`]. A comparison that detects a fault
+/// ends the window early, at that checkpoint.
 ///
 /// Returned by [`Policy::commit_window`]; see that method for the
 /// contract a policy signs by publishing one.
@@ -148,22 +149,28 @@ pub trait Policy {
 
     /// The policy's committed schedule from `ctx` up to its next commit,
     /// if it is fixed in advance — the executor's licence to run the whole
-    /// window in its fault-free fast path.
+    /// window without a [`Policy::plan`] call per segment. A policy sees
+    /// faults only through a mismatching comparison, so faults landing in
+    /// the window do not void it.
     ///
     /// Returning `Some(w)` is a promise that, starting from `ctx`, as long
-    /// as no fault is delivered, no comparison mismatches and every
-    /// segment runs its full `compute_time` (no task-end clamping,
-    /// deadline stop or op-budget stop — the executor verifies all of
-    /// these with conservative bounds before taking the window):
+    /// as every segment runs its full `compute_time` (no task-end
+    /// clamping, deadline stop or op-budget stop — the executor verifies
+    /// all of these with conservative bounds before taking the window):
     ///
     /// 1. the next `w.subs + 1` calls to [`Policy::plan`] would return
     ///    exactly `Run { speed, compute_time, sub_kind }` for the first
     ///    `w.subs` and `Run { speed, compute_time, CompareStore }` for
-    ///    the last;
+    ///    the last, until a comparison mismatches;
     /// 2. clean-compare [`Policy::on_compare`] notifications during the
-    ///    window do not change the policy's observable behaviour; and
-    /// 3. one [`Policy::on_commit_window_executed`] call afterwards
-    ///    leaves the policy in the state those `plan` calls would have.
+    ///    window do not change the policy's observable behaviour;
+    /// 3. after a window that ran to its commit, one
+    ///    [`Policy::on_commit_window_executed`] call leaves the policy in
+    ///    the state those `plan` calls would have; and
+    /// 4. after a window a mismatch ended early (the executor rolls back
+    ///    and sends no `on_commit_window_executed`), the
+    ///    `on_compare(mismatch = true)` call leaves the policy in the
+    ///    state those `plan` calls and that call would have.
     ///
     /// The method takes `&mut self` so a policy may materialize internal
     /// planning state, but any such mutation must be exactly the state a
@@ -177,7 +184,8 @@ pub trait Policy {
     }
 
     /// Notification that the executor executed a full window returned by
-    /// [`Policy::commit_window`], ending in a clean commit.
+    /// [`Policy::commit_window`], ending in a clean commit (never sent
+    /// for a window a detected fault ended early).
     fn on_commit_window_executed(&mut self) {}
 }
 

@@ -22,7 +22,8 @@
 //! accumulator state ([`OnlineStats::raw_parts`]), so a result-store cache
 //! hit is byte-identical to recomputation.
 //!
-//! Each block's [`ExecutiveReplicator`] owns a [`FaultFreeMemo`] keyed on
+//! Each [`ExecutiveReplicator`] owns a [`FaultFreeMemo`], kept across every
+//! block the replicator serves and keyed on
 //! `(task index, rel_deadline.to_bits())`. A job that finished before its
 //! first fault arrival is recorded; a later job with the same key whose
 //! first arrival lands at or after the recorded finish takes the recorded
@@ -425,8 +426,8 @@ impl PolicyProvider for PooledPolicies {
 }
 
 /// The pooled executive horizon driver: everything reusable is built once
-/// per block — the [`ExecutiveScratch`], the scenario template, one
-/// batched fault stream, one [`PolicyKind`] per task and the block's
+/// per driver — the [`ExecutiveScratch`], the scenario template, one
+/// batched fault stream, one [`PolicyKind`] per task and the driver's
 /// [`FaultFreeMemo`] — then each replication resets the fault stream to
 /// its derived seed and runs one horizon through [`run_executive_pooled`].
 pub struct ExecutiveReplicator<'w> {
@@ -446,7 +447,8 @@ impl ExecutiveReplicator<'_> {
         self.scratch.jobs()
     }
 
-    /// Lifetime fault-free memo (hits, misses) over this block's horizons:
+    /// Lifetime fault-free memo (hits, misses) over every horizon this
+    /// replicator ran, across all the blocks it served:
     /// jobs served from the memo and jobs that ran the engine —
     /// diagnostics and tests.
     pub fn memo_stats(&self) -> (u64, u64) {
@@ -490,7 +492,7 @@ impl Workload for ExecutiveJob {
     }
 
     // audit:setup: builds the pooled scratch, scenario template, fault
-    // stream and per-task policies once per block; horizons then only
+    // stream and per-task policies once per driver; horizons then only
     // reset them.
     fn replicator(&self) -> ExecutiveReplicator<'_> {
         let params = ExecutiveParams {

@@ -25,7 +25,7 @@ pub type FaultFactory = Box<dyn Fn(u64) -> Box<dyn FaultProcess> + Send + Sync>;
 /// How a job constructs its per-replication policy and fault stream.
 enum Dispatch {
     /// Spec-built jobs: the concrete [`PolicyKind`]/[`FaultKind`] enums,
-    /// built once per block and `reset(seed)` per replication — the
+    /// built once per driver and `reset(seed)` per replication — the
     /// zero-allocation, monomorphized hot path.
     Spec {
         policy: PolicySpec,
@@ -84,9 +84,7 @@ impl Job {
     pub fn from_spec(spec: &ExperimentSpec) -> Result<Self, SpecError> {
         let scenario = spec.scenario.build()?;
         let options = spec.executor.build()?;
-        if spec.mc.replications == 0 {
-            return Err(SpecError::invalid("replications must be positive"));
-        }
+        spec.mc.validate()?;
         // Validate once; replication loops can then expect success.
         let policy_name = spec.policy.build()?.name().to_owned();
         spec.faults.build(0)?;
@@ -262,7 +260,7 @@ impl Job {
     /// [`Job::run_replication`] builds a fresh one per call.) The
     /// `alloc-count` witness test pins the pooled loop allocation-free.
     // audit:setup: builds the pooled executor/scratch/policy/faults once
-    // per block; replications then only reset them.
+    // per driver; replications then only reset them.
     pub fn replicator(&self) -> Replicator<'_> {
         let pooled = match &self.dispatch {
             Dispatch::Spec { policy, faults } => Some((

@@ -24,21 +24,23 @@
 //! from [`canonical_blocks`] (a function of the replication count
 //! alone), each block is reduced sequentially by a pooled
 //! [`Workload::Rep`] driver, and the per-block partials merge in
-//! ascending block order.
+//! ascending block order. A driver's caches are exact-key, so which
+//! blocks one driver served never shows in a result.
 
 use crate::queue::BlockAssignment;
 use crate::runner::canonical_blocks;
 use eacp_sim::{NoopObserver, Summary};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::BTreeMap;
+use std::sync::Mutex;
 
-/// A replication unit a runner can reduce: build a pooled per-block
-/// driver, run seeded replications through it, merge the partials.
+/// A replication unit a runner can reduce: build a pooled driver, run
+/// seeded replications through it, merge the partials.
 pub trait Workload: Sync {
     /// The mergeable accumulator replications absorb into.
     type Acc: Send;
-    /// The pooled per-block replication driver — built once per block
-    /// ([`Workload::replicator`]), then reset per replication, so the
-    /// replication loop itself allocates nothing.
+    /// The pooled replication driver — built once per local worker or per
+    /// leased queue block ([`Workload::replicator`]), then reset per
+    /// replication, so the replication loop itself allocates nothing.
     type Rep<'w>: Replicate<Acc = Self::Acc>
     where
         Self: 'w;
@@ -54,7 +56,8 @@ pub trait Workload: Sync {
     /// bit-identical across schedules.
     fn merge_acc(into: &mut Self::Acc, part: &Self::Acc);
 
-    /// Builds the pooled driver for one block (setup, may allocate).
+    /// Builds a pooled driver (setup, may allocate). A driver may serve
+    /// any number of blocks of this workload, in any order.
     fn replicator(&self) -> Self::Rep<'_>;
 }
 
@@ -122,82 +125,87 @@ pub(crate) fn run_workload_block<W: Workload + ?Sized>(workload: &W, lo: u64, hi
     partial
 }
 
-/// Resolves a requested thread count (0 = available parallelism), clamped
-/// to the number of blocks.
-fn resolve_threads(threads: usize, blocks: usize) -> usize {
-    let t = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    t.clamp(1, blocks.max(1))
+/// What the workers of [`run_workload_local`] share: the canonical block
+/// schedule, handed out in ascending order, and the running total, which
+/// absorbs each partial as soon as every earlier block is absorbed.
+struct Reduction<B, A> {
+    blocks: B,
+    next_merge: u64,
+    total: A,
+    /// Partials that finished while an earlier block was still running.
+    waiting: BTreeMap<u64, A>,
+}
+
+/// One worker of [`run_workload_local`]: builds its pooled driver once,
+/// then reduces blocks from the shared schedule until it runs dry.
+fn drain<W, B>(workload: &W, shared: &Mutex<Reduction<B, W::Acc>>)
+where
+    W: Workload,
+    B: Iterator<Item = BlockAssignment>,
+{
+    // audit:allow(panic): the lock is poisoned only by a panic inside
+    // `merge_acc`; this re-raises it instead of merging into a half-updated
+    // total.
+    let lock = || shared.lock().expect("reduction lock poisoned by a panic");
+    let mut driver = workload.replicator();
+    loop {
+        let Some(block) = lock().blocks.next() else {
+            return;
+        };
+        let mut partial = workload.empty_acc();
+        for rep in block.lo..block.hi {
+            driver.run_one(rep, &mut partial);
+        }
+        let state = &mut *lock();
+        state.waiting.insert(block.block, partial);
+        while let Some(ready) = state.waiting.remove(&state.next_merge) {
+            W::merge_acc(&mut state.total, &ready);
+            state.next_merge += 1;
+        }
+    }
 }
 
 /// The canonical in-process reduction of any [`Workload`]: fixed-size
-/// blocks handed to a work-stealing thread pool, partials merged in
-/// ascending block order. Bit-identical for any `threads` value —
-/// including the sequential `threads <= 1` path.
-// audit:setup: per-run orchestration — the block list, worker vectors and
-// the block index are allocated once per run; the replication loop is
-// `run_workload_block`.
+/// blocks handed to a work-stealing pool of `threads` workers (the caller
+/// is one of them), partials merged in ascending block order.
+/// Bit-identical for any `threads` value.
+///
+/// The block schedule is streamed, never collected, and a partial waits
+/// only while an earlier block is still running, so memory does not grow
+/// with the replication count. Each worker reuses one pooled driver for
+/// every block it takes: the plan, argmin and fault-free memo caches it
+/// carries across blocks are exact-key, so reuse never moves a bit.
+// audit:setup: per-run orchestration — the shared schedule and the worker
+// threads are set up once per run; the replication loop is `run_one`.
 pub fn run_workload_local<W: Workload>(
     workload: &W,
     threads: usize,
     block_size_override: u64,
 ) -> W::Acc {
-    let blocks: Vec<BlockAssignment> =
-        canonical_blocks(block_size_override, workload.replications()).collect();
-    let threads = resolve_threads(threads, blocks.len());
-    if threads <= 1 {
-        let mut total = workload.empty_acc();
-        for block in &blocks {
-            let partial = run_workload_block(workload, block.lo, block.hi);
-            W::merge_acc(&mut total, &partial);
-        }
-        return total;
+    let blocks = canonical_blocks(block_size_override, workload.replications());
+    // 0 threads = available parallelism; never more workers than blocks.
+    let threads = match threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        t => t,
     }
-
-    let next = AtomicUsize::new(0);
-    let mut worker_results: Vec<Vec<(usize, W::Acc)>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let (next, blocks) = (&next, &blocks);
-            handles.push(scope.spawn(move || {
-                let mut local = Vec::new();
-                loop {
-                    let b = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(block) = blocks.get(b) else {
-                        break;
-                    };
-                    local.push((b, run_workload_block(workload, block.lo, block.hi)));
-                }
-                local
-            }));
-        }
-        for h in handles {
-            // audit:allow(panic): re-raises a worker thread's panic on
-            // the caller thread instead of silently dropping blocks.
-            worker_results.push(h.join().expect("simulation worker panicked"));
-        }
+    .clamp(1, blocks.size_hint().0.max(1));
+    let shared = Mutex::new(Reduction {
+        blocks,
+        next_merge: 0,
+        total: workload.empty_acc(),
+        waiting: BTreeMap::new(),
     });
-
-    // Canonical order: place each block partial at its index, then merge
-    // ascending — the thread schedule is forgotten here.
-    let mut by_index: Vec<Option<W::Acc>> = Vec::with_capacity(blocks.len());
-    by_index.resize_with(blocks.len(), || None);
-    for (b, partial) in worker_results.into_iter().flatten() {
-        by_index[b] = Some(partial);
-    }
-    let mut total = workload.empty_acc();
-    for partial in by_index.iter() {
-        // audit:allow(panic): the work-stealing loop hands out each block
-        // index exactly once and every worker joined above.
-        W::merge_acc(&mut total, partial.as_ref().expect("every block reduced"));
-    }
-    total
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(|| drain(workload, &shared));
+        }
+        drain(workload, &shared);
+    });
+    // audit:allow(panic): a worker's panic resurfaced when the scope
+    // joined, so the lock cannot be poisoned here.
+    let state = shared.into_inner().expect("every worker joined cleanly");
+    debug_assert!(state.waiting.is_empty(), "every block merged in order");
+    state.total
 }
 
 #[cfg(test)]

@@ -189,7 +189,7 @@ impl<MK: FnMut(usize) -> Box<dyn Policy>> PolicyProvider for FreshPolicies<MK> {
 }
 
 /// Number of direct-mapped slots in a [`FaultFreeMemo`]. Power of two so
-/// the slot index is a mask. A block's fault-free jobs take one key per
+/// the slot index is a mask. A workload's fault-free jobs take one key per
 /// task and start offset, a few dozen at most for the paper's task sets.
 const MEMO_SLOTS: usize = 64;
 
@@ -225,12 +225,12 @@ fn finished_before(first: Option<f64>, finish: f64) -> bool {
 /// policy (the same contract the analytic tier relies on). The engine
 /// consumes an arrival only when it lands strictly before the end of an
 /// interval, so a later job with the same key whose first arrival is at
-/// or after the memoized finish runs exactly as the memoized one did. (The
-/// engine's commit-window fast path does read the next arrival to choose
-/// its path, but it is bit-identical to the general path by
-/// construction.) A hit therefore returns the bit-identical outcome a
-/// fresh simulation would, and an entry is only ever written from a real
-/// run — the memo never simulates on its own.
+/// or after the memoized finish runs exactly as the memoized one did: the
+/// engine reads an arrival only to compare it with the end of the interval
+/// it is running. A hit therefore
+/// returns the bit-identical outcome a fresh simulation would, and an
+/// entry is only ever written from a real run — the memo never simulates
+/// on its own.
 ///
 /// A memo is valid for one workload: one [`ExecutiveParams`], scenario
 /// template, executor options and policy provider. Callers that switch
@@ -329,7 +329,7 @@ struct Pending {
 /// An executive horizon needs a release list, a ready queue, fault-window
 /// buffers, a job log, one [`DeterministicFaults`] window, and the
 /// engine's [`ExecutorScratch`] — all of it reusable between horizons.
-/// Monte-Carlo loops allocate one scratch per block and thread it through
+/// Monte-Carlo loops allocate one scratch per driver and thread it through
 /// every seeded horizon: buffers are *cleared*, never reallocated, and
 /// their capacities converge to the workload's steady state after the
 /// first horizon. The executive case of the `eacp-exec` zero-alloc
@@ -443,7 +443,7 @@ where
 /// Builds the per-job scenario template [`run_executive_pooled`] expects:
 /// `params`' costs and DVS table around a placeholder task (the core
 /// overwrites `scenario.task` before every job).
-// audit:setup: one template per block — the DVS level table is cloned
+// audit:setup: one template per driver — the DVS level table is cloned
 // here once; horizons only mutate the `task` field in place.
 pub fn scenario_template(params: &ExecutiveParams<'_>) -> Scenario {
     Scenario::new(TaskSpec::new(1.0, 1.0), params.costs, params.dvs.clone())

@@ -26,7 +26,7 @@
 
 use crate::error::SpecError;
 use crate::json::{FromJson, Json, ToJson};
-use crate::model::{CostsSpec, DvsSpec, FaultSpec, PolicySpec, QueueSpec};
+use crate::model::{check_replication_bound, CostsSpec, DvsSpec, FaultSpec, PolicySpec, QueueSpec};
 use eacp_rtsched::{PeriodicTask, TaskSet};
 
 /// One periodic task in serializable form.
@@ -290,6 +290,7 @@ impl ExecutiveMcSpec {
                 "mc.replications must be at least 1 (a Monte-Carlo run needs horizons)",
             ));
         }
+        check_replication_bound("mc.replications", self.replications)?;
         if let Some(q) = &self.queue {
             q.validate()?;
             if !q.endpoints.is_empty() {

@@ -1108,13 +1108,25 @@ impl Default for McSpec {
     }
 }
 
+/// Rejects a replication count past 2^53, the last count `OnlineStats`
+/// still holds exactly when it divides by it as `f64`.
+pub(crate) fn check_replication_bound(field: &str, replications: u64) -> Result<(), SpecError> {
+    const MAX: u64 = 1 << 53;
+    if replications > MAX {
+        return Err(SpecError::invalid(format!(
+            "{field} must be at most 2^53 = {MAX}, got {replications}"
+        )));
+    }
+    Ok(())
+}
+
 impl McSpec {
     /// Checks the replication parameters.
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.replications == 0 {
             return Err(SpecError::invalid("replications must be positive"));
         }
-        Ok(())
+        check_replication_bound("replications", self.replications)
     }
 }
 
@@ -1537,6 +1549,15 @@ mod tests {
             ..McSpec::default()
         };
         assert!(mc.validate().is_err());
+        let mc = |replications| McSpec {
+            replications,
+            ..McSpec::default()
+        };
+        assert!(mc(1 << 53).validate().is_ok());
+        let err = mc((1 << 53) + 1).validate().unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("replications must be at most 2^53"));
 
         let dvs = DvsSpec::Levels { levels: vec![] };
         assert!(dvs.build().is_err());

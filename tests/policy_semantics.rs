@@ -2,11 +2,12 @@
 //! exact rollback targets, DVS decisions, abort behaviour and the
 //! SCP-vs-CCP detection trade-off, all with deterministic fault schedules.
 
-use eacp::core::policies::Adaptive;
+use eacp::core::policies::{Adaptive, KFaultTolerant, PoissonArrival, PolicyKind};
 use eacp::energy::DvsConfig;
 use eacp::faults::DeterministicFaults;
 use eacp::sim::{
-    CheckpointCosts, CheckpointKind, Executor, Scenario, TaskSpec, TraceEvent, TraceRecorder,
+    CheckpointCosts, CheckpointKind, Directive, Executor, ExecutorOptions, Observer, PlanContext,
+    Policy, RunOutcome, Scenario, TaskSpec, TraceEvent, TraceRecorder,
 };
 
 fn scp_scenario(n: f64, d: f64) -> Scenario {
@@ -242,4 +243,210 @@ fn scp_and_ccp_waste_profiles_differ_as_in_figures() {
         ccp_early < scp_early,
         "early fault: CCP {ccp_early} vs SCP {scp_early}"
     );
+}
+
+/// A policy that never publishes a commit window, so every segment goes
+/// through `plan()`: the reference the window path must reproduce.
+struct PlanOnly(PolicyKind);
+
+impl Policy for PlanOnly {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn plan(&mut self, ctx: &PlanContext<'_>) -> Directive {
+        self.0.plan(ctx)
+    }
+    fn on_compare(&mut self, ctx: &PlanContext<'_>, kind: CheckpointKind, mismatch: bool) {
+        self.0.on_compare(ctx, kind, mismatch)
+    }
+}
+
+/// Every shipped scheme, planning with fault rate `lambda`.
+fn every_scheme(lambda: f64) -> Vec<PolicyKind> {
+    vec![
+        PolicyKind::Poisson(PoissonArrival::new(lambda, 0)),
+        PolicyKind::KFaultTolerant(KFaultTolerant::new(5, 0)),
+        PolicyKind::Adaptive(Adaptive::adt_dvs(lambda, 5)),
+        PolicyKind::Adaptive(Adaptive::dvs_scp(lambda, 5)),
+        PolicyKind::Adaptive(Adaptive::dvs_ccp(lambda, 5)),
+        PolicyKind::Adaptive(Adaptive::scp(lambda, 5, 0)),
+        PolicyKind::Adaptive(Adaptive::ccp(lambda, 5, 0)),
+        PolicyKind::Adaptive(Adaptive::cscp(lambda, 5, 0)),
+    ]
+}
+
+/// Poisson arrivals of rate `lambda` up to `horizon`, from a fixed
+/// xorshift stream (no RNG crate: the stream only has to be reproducible).
+fn poisson_arrivals(lambda: f64, seed: u64, horizon: f64) -> Vec<f64> {
+    let mut arrivals = Vec::new();
+    if lambda == 0.0 {
+        return arrivals;
+    }
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut t = 0.0;
+    loop {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let u = ((state >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
+        t += -u.ln() / lambda;
+        if t > horizon {
+            return arrivals;
+        }
+        arrivals.push(t);
+    }
+}
+
+/// Start and end instants of every timed event, in trace order.
+fn boundaries(events: &[TraceEvent]) -> Vec<f64> {
+    events
+        .iter()
+        .flat_map(|e| match *e {
+            TraceEvent::Segment { from, to, .. }
+            | TraceEvent::Checkpoint { from, to, .. }
+            | TraceEvent::Rollback { from, to, .. } => vec![from, to],
+            _ => Vec::new(),
+        })
+        .collect()
+}
+
+/// Outcome fields with every float as its bit pattern: floats, counters,
+/// flags and the anomaly.
+type OutcomeBits = ([u64; 4], [u64; 7], [bool; 3], String);
+
+fn outcome_bits(o: &RunOutcome) -> OutcomeBits {
+    (
+        [
+            o.finish_time.to_bits(),
+            o.energy.to_bits(),
+            o.cycles_at_fastest.to_bits(),
+            o.total_cycles.to_bits(),
+        ],
+        [
+            o.faults.into(),
+            o.rollbacks.into(),
+            o.store_checkpoints.into(),
+            o.compare_checkpoints.into(),
+            o.compare_store_checkpoints.into(),
+            o.segments.into(),
+            o.speed_switches,
+        ],
+        [o.completed, o.timely, o.aborted],
+        format!("{:?}", o.anomaly),
+    )
+}
+
+/// Every observer callback in order: the [`TraceRecorder`] event stream
+/// plus the energy samples and the deadline miss it does not keep. Floats
+/// are rendered by `Debug`, which round-trips their bits.
+#[derive(Default)]
+struct Log {
+    rec: TraceRecorder,
+    lines: Vec<String>,
+}
+
+impl Observer for Log {
+    fn on_event(&mut self, event: &TraceEvent) {
+        self.lines.push(format!("{event:?}"));
+        self.rec.on_event(event);
+    }
+    fn on_deadline_miss(&mut self, at: f64) {
+        self.lines.push(format!("deadline miss at {at:?}"));
+    }
+    fn on_energy_sample(&mut self, at: f64, cumulative_energy: f64) {
+        self.lines
+            .push(format!("energy {cumulative_energy:?} at {at:?}"));
+    }
+}
+
+/// Runs `policy` over `arrivals`, returning the outcome bits and the log.
+fn logged(
+    s: &Scenario,
+    opts: ExecutorOptions,
+    policy: &mut dyn Policy,
+    arrivals: &[f64],
+) -> (OutcomeBits, Log) {
+    let mut log = Log::default();
+    let mut faults = DeterministicFaults::new(arrivals.to_vec());
+    let out = Executor::new(s)
+        .with_options(opts)
+        .run_observed(policy, &mut faults, &mut log);
+    (outcome_bits(&out), log)
+}
+
+#[test]
+fn commit_window_path_equals_plan_path() {
+    // Each case runs a scheme twice over one fault stream: once as
+    // shipped (commit windows taken wherever the executor's guards admit
+    // them) and once through a shim that declines every window. Outcome
+    // and observer log must agree bit for bit, with faults inside windows, on
+    // segment and operation boundaries, during overheads and rollbacks.
+    let mut cases = 0;
+    let mut with_rollbacks = 0;
+    for (ts, tcp, tr) in [
+        (2.0, 20.0, 0.0),
+        (20.0, 2.0, 0.0),
+        (2.0, 20.0, 10.0),
+        (20.0, 2.0, 10.0),
+    ] {
+        for util in [0.76, 0.95] {
+            let s = Scenario::new(
+                TaskSpec::from_utilization(util, 1.0, 10_000.0),
+                CheckpointCosts::new(ts, tcp, tr),
+                DvsConfig::paper_default(),
+            );
+            for lambda in [0.0, 1e-4, 1e-3, 5e-3] {
+                for faults_during_overhead in [true, false] {
+                    let opts = ExecutorOptions {
+                        faults_during_overhead,
+                        ..ExecutorOptions::default()
+                    };
+                    for (i, scheme) in every_scheme(lambda).into_iter().enumerate() {
+                        let run = |windows: bool, arrivals: &[f64]| {
+                            if windows {
+                                logged(&s, opts, &mut scheme.clone(), arrivals)
+                            } else {
+                                logged(&s, opts, &mut PlanOnly(scheme.clone()), arrivals)
+                            }
+                        };
+                        let mut streams: Vec<Vec<f64>> = (0..2)
+                            .map(|seed| poisson_arrivals(lambda, seed * 8 + i as u64, 30_000.0))
+                            .collect();
+                        // Faults placed one at a time, each exactly on a
+                        // boundary of the run the previous ones produced.
+                        let mut on_boundaries: Vec<f64> = Vec::new();
+                        for stride in [0usize, 3, 8, 5, 13, 2] {
+                            let (_, log) = run(true, &on_boundaries);
+                            let last = on_boundaries.last().copied().unwrap_or(-1.0);
+                            let next = boundaries(log.rec.events())
+                                .into_iter()
+                                .filter(|&t| t > last)
+                                .nth(stride);
+                            match next {
+                                Some(t) => on_boundaries.push(t),
+                                None => break,
+                            }
+                        }
+                        streams.push(on_boundaries);
+                        for arrivals in &streams {
+                            let (plan_out, plan_log) = run(false, arrivals);
+                            let (window_out, window_log) = run(true, arrivals);
+                            let what = format!(
+                                "{} U={util} λ={lambda} costs=({ts},{tcp},{tr}) \
+                                 overhead-faults={faults_during_overhead} arrivals={arrivals:?}",
+                                scheme.name()
+                            );
+                            assert_eq!(window_out, plan_out, "outcome differs: {what}");
+                            assert_eq!(window_log.lines, plan_log.lines, "log differs: {what}");
+                            cases += 1;
+                            with_rollbacks += usize::from(plan_out.1[1] > 0);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 4 * 2 * 4 * 2 * 8 * 3);
+    // The cases exercise detected faults, not only fault-free windows.
+    assert!(with_rollbacks > cases / 4, "{with_rollbacks} of {cases}");
 }
