@@ -42,7 +42,8 @@ pub const HOT_MODULES: &[&str] = &[
     "crates/exec/src/workload.rs",
     "crates/exec/src/executive_mc.rs",
     "crates/rt-sched/src/executive.rs",
-    "crates/fault-model/src/batch.rs",
+    "crates/fault-model/src/lib.rs",
+    "crates/fault-model/src/sampling.rs",
     "crates/core/src/policies/plan_cache.rs",
 ];
 
@@ -126,7 +127,7 @@ mod tests {
             "crates/exec/src/workload.rs",
             "crates/exec/src/executive_mc.rs",
             "crates/rt-sched/src/executive.rs",
-            "crates/fault-model/src/batch.rs",
+            "crates/fault-model/src/sampling.rs",
             "crates/core/src/policies/plan_cache.rs",
         ] {
             let c = classify(hot);
@@ -141,6 +142,17 @@ mod tests {
                 "{hot}"
             );
         }
+        // The fault processes are drawn inside every replication, so the
+        // fault-model crate root is hot as well as a crate root.
+        assert_eq!(
+            classify("crates/fault-model/src/lib.rs"),
+            Some(FileClass {
+                crate_root: true,
+                library: true,
+                determinism: true,
+                hot: true,
+            })
+        );
         // Binary entry points: R2 but not R4.
         let c = classify("crates/cli/src/main.rs");
         assert_eq!(

@@ -1849,9 +1849,9 @@ pub fn cmd_feasibility(o: &Options) -> Result<String, String> {
 /// `eacp executive`: simulate the resolved [`ExecutiveSpec`] over N
 /// hyperperiods of non-preemptive EDF and report per-task deadline
 /// misses, energy and checkpoint totals. `--mc` runs N seeded horizons
-/// through the replication engine instead ([`cmd_executive_mc`]);
+/// through the replication engine instead (`cmd_executive_mc`);
 /// `--sweep grid.json` expands an executive sweep document through the
-/// same sweep driver as `eacp sweep` ([`cmd_grid`]).
+/// same sweep driver as `eacp sweep` (`cmd_grid`).
 pub fn cmd_executive(o: &Options) -> Result<String, String> {
     if o.has("--endpoints") {
         // The remote protocol ships single-task specs only. Spec files

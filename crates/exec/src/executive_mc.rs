@@ -38,7 +38,7 @@
 use crate::workload::{Replicate, Workload};
 use eacp_core::policies::PolicyKind;
 use eacp_energy::DvsConfig;
-use eacp_faults::BatchedFaults;
+use eacp_faults::FaultKind;
 use eacp_numerics::OnlineStats;
 use eacp_rtsched::executive::{
     run_executive_pooled, scenario_template, ExecutiveParams, ExecutiveScratch, FaultFreeMemo,
@@ -427,7 +427,7 @@ impl PolicyProvider for PooledPolicies {
 
 /// The pooled executive horizon driver: everything reusable is built once
 /// per driver — the [`ExecutiveScratch`], the scenario template, one
-/// batched fault stream, one [`PolicyKind`] per task and the driver's
+/// [`FaultKind`] stream, one [`PolicyKind`] per task and the driver's
 /// [`FaultFreeMemo`] — then each replication resets the fault stream to
 /// its derived seed and runs one horizon through [`run_executive_pooled`].
 pub struct ExecutiveReplicator<'w> {
@@ -435,7 +435,7 @@ pub struct ExecutiveReplicator<'w> {
     params: ExecutiveParams<'w>,
     scenario: Scenario,
     scratch: ExecutiveScratch,
-    faults: BatchedFaults,
+    faults: FaultKind,
     policies: PooledPolicies,
     memo: FaultFreeMemo,
 }
@@ -521,7 +521,7 @@ impl Workload for ExecutiveJob {
             scenario,
             scratch: ExecutiveScratch::new(),
             // audit:allow(panic): `from_spec` validated the fault spec.
-            faults: BatchedFaults::new(faults.expect("validated fault spec")),
+            faults: faults.expect("validated fault spec"),
             policies,
             memo: FaultFreeMemo::new(),
         }

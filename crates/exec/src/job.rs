@@ -10,7 +10,7 @@
 //! `i` always runs with [`replication_seed`]`(base_seed, i)`.
 
 use eacp_core::policies::PolicyKind;
-use eacp_faults::{BatchedFaults, FaultProcess};
+use eacp_faults::{FaultKind, FaultProcess};
 use eacp_sim::{
     replication_seed, Executor, ExecutorOptions, ExecutorScratch, Observer, Policy, RunOutcome,
     Scenario,
@@ -266,10 +266,8 @@ impl Job {
             Dispatch::Spec { policy, faults } => Some((
                 // audit:allow(panic): `from_spec` validated both specs.
                 policy.build().expect("validated policy spec"),
-                // Arrivals are drawn in blocks through the pooled batch —
-                // bit-identical to the scalar stream (see eacp-faults).
                 // audit:allow(panic): `from_spec` validated both specs.
-                BatchedFaults::new(faults.build(self.base_seed).expect("validated fault spec")),
+                faults.build(self.base_seed).expect("validated fault spec"),
             )),
             Dispatch::Factories { .. } => None,
         };
@@ -296,7 +294,7 @@ pub struct Replicator<'j> {
     job: &'j Job,
     executor: Executor<'j>,
     scratch: ExecutorScratch,
-    pooled: Option<(PolicyKind, BatchedFaults)>,
+    pooled: Option<(PolicyKind, FaultKind)>,
 }
 
 impl Replicator<'_> {

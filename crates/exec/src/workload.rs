@@ -1,27 +1,27 @@
 //! The [`Workload`] trait: what a runner actually replicates.
 //!
 //! The execution core used to be welded to one replication unit — a
-//! single-task [`Job`] reduced into a [`Summary`]. This module abstracts
-//! the unit out: a [`Workload`] is anything that can run replication `i`
-//! (seeded by the workspace contract) into a mergeable accumulator, and
-//! the canonical fixed-block reduction — the partition rule that makes
-//! results bit-identical across thread and worker counts — is written
-//! once, generically: [`run_workload_local`] here, and the work-queue
-//! lease body behind [`crate::QueueRunner`].
+//! single-task [`crate::Job`] reduced into a [`Summary`]. This module
+//! abstracts the unit out: a [`Workload`] is anything that can run
+//! replication `i` (seeded by the workspace contract) into a mergeable
+//! accumulator, and the canonical fixed-block reduction — the partition
+//! rule that makes results bit-identical across thread and worker counts
+//! — is written once, generically: [`run_workload_local`] here, and the
+//! work-queue lease body behind [`crate::QueueRunner`].
 //!
 //! Two implementations ship:
 //!
-//! * [`Job`] (accumulator [`Summary`]) — the existing single-task
-//!   replication path. [`crate::LocalRunner::run`] routes through the
-//!   generic reduction, and the golden-identity tests pin it bit-identical
-//!   to the pre-refactor behavior.
+//! * [`crate::Job`] (accumulator [`Summary`]) — the existing single-task
+//!   replication path. [`crate::LocalRunner`]'s [`crate::Runner::run`]
+//!   routes through the generic reduction, and the golden-identity tests
+//!   pin it bit-identical to the pre-refactor behavior.
 //! * [`crate::ExecutiveJob`] (accumulator [`crate::ExecutiveSummary`]) —
 //!   one replication is one seeded EDF-executive hyperperiod horizon.
 //!
 //! # Determinism contract
 //!
 //! The reduction never depends on thread or worker count: blocks come
-//! from [`canonical_blocks`] (a function of the replication count
+//! from `runner::canonical_blocks` (a function of the replication count
 //! alone), each block is reduced sequentially by a pooled
 //! [`Workload::Rep`] driver, and the per-block partials merge in
 //! ascending block order. A driver's caches are exact-key, so which
@@ -71,10 +71,10 @@ pub trait Replicate {
     fn run_one(&mut self, replication: u64, acc: &mut Self::Acc);
 }
 
-/// [`Workload`] for the single-task Monte-Carlo [`Job`]: one replication
-/// is one engine run, accumulated into a [`Summary`]. The pooled driver is
-/// the existing [`crate::Replicator`] — the zero-allocation hot path the
-/// `alloc-count` witness pins.
+/// [`Workload`] for the single-task Monte-Carlo [`crate::Job`]: one
+/// replication is one engine run, accumulated into a [`Summary`]. The
+/// pooled driver is the existing [`crate::Replicator`] — the
+/// zero-allocation hot path the `alloc-count` witness pins.
 impl Workload for crate::job::Job {
     type Acc = Summary;
     type Rep<'w> = JobReplicate<'w>;

@@ -110,30 +110,27 @@ const MEASURED: u64 = 32;
 fn main() {
     replication_loop_never_allocates_after_warmup();
     executive_horizons_never_allocate_after_warmup();
-    batched_sampling_never_allocates_after_warmup();
+    fault_sampling_never_allocates_after_warmup();
     println!(
         "zero-alloc witness: ok ({} schemes × 4 fault processes + executive horizons \
-         + batched sampling)",
+         + fault sampling)",
         PolicySpec::TAGS.len()
     );
 }
 
-/// The batched fault sampler in isolation: once the first refill has
-/// reserved the block buffer, draining whole batches across resets —
-/// including the constant-block refill path every `next_fault()` miss
-/// takes — must not touch the allocator. Rates are high enough that a
-/// drain crosses several refills.
-fn batched_sampling_never_allocates_after_warmup() {
-    use eacp_faults::{BatchedFaults, FaultProcess};
+/// The pooled fault process in isolation: draining a `FaultKind` across
+/// `reset(seed)` calls — the per-replication sequence both pooled drivers
+/// run — must not touch the allocator. Rates are high enough that each
+/// measured drain draws several arrivals.
+fn fault_sampling_never_allocates_after_warmup() {
+    use eacp_faults::FaultProcess;
 
     for (fault_name, fault_spec) in fault_specs() {
-        let kind = fault_spec.build(77).expect("valid witness fault spec");
-        let mut batched = BatchedFaults::new(kind);
-        // Warmup: first drains reserve the batch buffer.
+        let mut faults = fault_spec.build(77).expect("valid witness fault spec");
         for seed in 0..WARMUP {
-            batched.reset(seed);
+            faults.reset(seed);
             for _ in 0..64 {
-                if !batched.next_fault().is_finite() {
+                if !faults.next_fault().is_finite() {
                     break;
                 }
             }
@@ -141,9 +138,9 @@ fn batched_sampling_never_allocates_after_warmup() {
         let before = ALLOCATIONS.load(Ordering::SeqCst);
         let mut drawn = 0u64;
         for seed in WARMUP..WARMUP + MEASURED {
-            batched.reset(seed);
+            faults.reset(seed);
             for _ in 0..64 {
-                if !batched.next_fault().is_finite() {
+                if !faults.next_fault().is_finite() {
                     break;
                 }
                 drawn += 1;
@@ -153,15 +150,15 @@ fn batched_sampling_never_allocates_after_warmup() {
         assert_eq!(
             after - before,
             0,
-            "batched sampling × {fault_name}: {} allocation(s) over {MEASURED} seeded \
+            "fault sampling × {fault_name}: {} allocation(s) over {MEASURED} seeded \
              drains (last size {})",
             after - before,
             LAST_SIZE.load(Ordering::SeqCst)
         );
         assert!(
             drawn > MEASURED,
-            "batched sampling × {fault_name}: measured window drew too few arrivals \
-             ({drawn}) to cross a refill"
+            "fault sampling × {fault_name}: measured window drew too few arrivals \
+             ({drawn})"
         );
     }
 }

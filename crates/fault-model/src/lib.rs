@@ -19,6 +19,11 @@
 //! are deterministic given their RNG seed, which is what makes every
 //! experiment in this workspace reproducible.
 //!
+//! Monte-Carlo drivers hold one [`FaultKind`] per block and
+//! [`reset`](FaultKind::reset) it per replication; each arrival is drawn
+//! on demand from the process's own RNG. Sampling is a few percent of a
+//! replication, so no layer buffers arrivals ahead of the simulator.
+//!
 //! # Examples
 //!
 //! ```
@@ -38,13 +43,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-pub mod batch;
 pub mod sampling;
 
-pub use batch::{BatchedFaults, FaultBatch};
-pub use sampling::{
-    fill_exponential_deltas, fill_weibull_deltas, sample_exponential, sample_weibull,
-};
+pub use sampling::{sample_exponential, sample_weibull};
 
 /// An infinite, nondecreasing stream of absolute fault arrival times.
 ///
@@ -231,6 +232,8 @@ impl DeterministicFaults {
     /// [`reload`](Self::reload) has to grow it. Pooled replication loops
     /// use this so the window buffer is sized in setup rather than by the
     /// densest window the fault process happens to produce mid-run.
+    // audit:setup: sizes a pooled schedule's buffer once, before any
+    // replication runs.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             times: Vec::with_capacity(capacity),
@@ -629,6 +632,43 @@ mod tests {
         let mut b: Box<dyn FaultProcess> = Box::new(DeterministicFaults::new(vec![2.0]));
         assert_eq!(b.next_fault(), 2.0);
         assert_eq!(b.next_fault(), f64::INFINITY);
+    }
+
+    /// One of each kind, seeded with `seed`, plus two finite streams: a
+    /// short schedule that runs out and a zero-rate Poisson stream.
+    fn kinds(seed: u64) -> Vec<FaultKind> {
+        vec![
+            FaultKind::Poisson(PoissonProcess::new(1.4e-3, rng(seed))),
+            FaultKind::Poisson(PoissonProcess::new(0.0, rng(seed))),
+            FaultKind::Deterministic(DeterministicFaults::new(vec![3.0, 40.0, 41.5, 900.0])),
+            FaultKind::Deterministic(DeterministicFaults::new(vec![1.0, 2.0])),
+            FaultKind::Weibull(WeibullRenewal::new(0.7, 600.0, rng(seed))),
+            FaultKind::Burst(BurstProcess::new(1e-4, 5e-2, 2_000.0, 150.0, rng(seed))),
+            FaultKind::Phased(PhasedPoisson::new(
+                vec![(900.0, 1e-4), (100.0, 2e-2)],
+                true,
+                rng(seed),
+            )),
+        ]
+    }
+
+    #[test]
+    fn reset_replays_a_fresh_build() {
+        for (mut pooled, mut fresh) in kinds(0).into_iter().zip(kinds(5)) {
+            // Draw a prefix (past the end of the short schedule), re-seed,
+            // and demand the stream a fresh build with that seed produces.
+            for _ in 0..7 {
+                pooled.next_fault();
+            }
+            pooled.reset(5);
+            let replay: Vec<u64> = (0..12).map(|_| pooled.next_fault().to_bits()).collect();
+            let built: Vec<u64> = (0..12).map(|_| fresh.next_fault().to_bits()).collect();
+            assert_eq!(replay, built, "{fresh:?}");
+            // A finished schedule and a zero-rate stream stay fault-free.
+            if fresh.mean_rate() == Some(0.0) || matches!(fresh, FaultKind::Deterministic(_)) {
+                assert_eq!(f64::from_bits(replay[11]), f64::INFINITY, "{fresh:?}");
+            }
+        }
     }
 
     #[test]

@@ -51,71 +51,6 @@ pub fn sample_weibull<R: Rng + ?Sized>(rng: &mut R, shape: f64, scale: f64) -> f
     scale * (-(1.0 - u).ln()).powf(1.0 / shape)
 }
 
-/// Appends `n` i.i.d. `Exp(rate)` inter-arrival deltas to `out`, drawing
-/// uniforms in the exact stream order [`sample_exponential`] would.
-///
-/// Two passes: first the `n` RNG draws (amortizing RNG state updates),
-/// then the inverse-CDF transform over the fresh tail — per-element math
-/// identical to the scalar sampler, so the appended deltas are
-/// bit-identical to `n` successive [`sample_exponential`] calls.
-///
-/// # Panics
-///
-/// Panics unless `rate > 0` and finite.
-#[inline]
-pub fn fill_exponential_deltas<R: Rng + ?Sized>(
-    rng: &mut R,
-    rate: f64,
-    out: &mut Vec<f64>,
-    n: usize,
-) {
-    assert!(
-        rate > 0.0 && rate.is_finite(),
-        "exponential rate must be positive and finite"
-    );
-    let start = out.len();
-    for _ in 0..n {
-        out.push(rng.gen::<f64>());
-    }
-    for u in &mut out[start..] {
-        *u = -(1.0 - *u).ln() / rate;
-    }
-}
-
-/// Appends `n` i.i.d. `Weibull(shape, scale)` deltas to `out`, drawing
-/// uniforms in the exact stream order [`sample_weibull`] would; the
-/// block-transform counterpart of [`fill_exponential_deltas`].
-///
-/// # Panics
-///
-/// Panics unless `shape > 0` and `scale > 0` (both finite).
-#[inline]
-pub fn fill_weibull_deltas<R: Rng + ?Sized>(
-    rng: &mut R,
-    shape: f64,
-    scale: f64,
-    out: &mut Vec<f64>,
-    n: usize,
-) {
-    assert!(
-        shape > 0.0 && shape.is_finite(),
-        "Weibull shape must be positive and finite"
-    );
-    assert!(
-        scale > 0.0 && scale.is_finite(),
-        "Weibull scale must be positive and finite"
-    );
-    let start = out.len();
-    for _ in 0..n {
-        out.push(rng.gen::<f64>());
-    }
-    // `1.0 / shape` is the same f64 the scalar sampler computes per call.
-    let inv_shape = 1.0 / shape;
-    for u in &mut out[start..] {
-        *u = scale * (-(1.0 - *u).ln()).powf(inv_shape);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,47 +104,5 @@ mod tests {
     fn weibull_rejects_bad_shape() {
         let mut rng = StdRng::seed_from_u64(1);
         sample_weibull(&mut rng, 0.0, 1.0);
-    }
-
-    #[test]
-    fn exponential_block_fill_is_bit_identical_to_scalar() {
-        let rate = 1.4e-3;
-        let mut scalar_rng = StdRng::seed_from_u64(99);
-        let mut block_rng = StdRng::seed_from_u64(99);
-        let mut block = Vec::new();
-        fill_exponential_deltas(&mut block_rng, rate, &mut block, 257);
-        for (i, d) in block.iter().enumerate() {
-            let s = sample_exponential(&mut scalar_rng, rate);
-            assert_eq!(s.to_bits(), d.to_bits(), "delta {i}");
-        }
-    }
-
-    #[test]
-    fn weibull_block_fill_is_bit_identical_to_scalar() {
-        let (shape, scale) = (0.7, 600.0);
-        let mut scalar_rng = StdRng::seed_from_u64(1234);
-        let mut block_rng = StdRng::seed_from_u64(1234);
-        let mut block = Vec::new();
-        fill_weibull_deltas(&mut block_rng, shape, scale, &mut block, 129);
-        for (i, d) in block.iter().enumerate() {
-            let s = sample_weibull(&mut scalar_rng, shape, scale);
-            assert_eq!(s.to_bits(), d.to_bits(), "delta {i}");
-        }
-    }
-
-    #[test]
-    fn block_fills_append_after_existing_content() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut out = vec![42.0];
-        fill_exponential_deltas(&mut rng, 2.0, &mut out, 3);
-        assert_eq!(out.len(), 4);
-        assert_eq!(out[0], 42.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn exponential_block_fill_rejects_zero_rate() {
-        let mut rng = StdRng::seed_from_u64(1);
-        fill_exponential_deltas(&mut rng, 0.0, &mut Vec::new(), 1);
     }
 }

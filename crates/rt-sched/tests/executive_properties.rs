@@ -2,10 +2,32 @@
 
 use eacp_core::policies::Adaptive;
 use eacp_energy::DvsConfig;
-use eacp_rtsched::executive::{run_executive, ExecutiveConfig};
+use eacp_faults::PoissonProcess;
+use eacp_rtsched::executive::{run_executive_stream, ExecutiveParams, ExecutiveReport};
 use eacp_rtsched::{PeriodicTask, TaskSet};
-use eacp_sim::CheckpointCosts;
+use eacp_sim::{CheckpointCosts, ExecutorOptions, NoopObserver};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// `hyperperiods` of `set` under a global Poisson stream seeded with
+/// `seed`, every job running a fresh `Adaptive::dvs_scp(lambda, 2)`.
+fn run_poisson(set: &TaskSet, lambda: f64, hyperperiods: u32, seed: u64) -> ExecutiveReport {
+    let params = ExecutiveParams {
+        set,
+        costs: CheckpointCosts::paper_scp_variant(),
+        dvs: DvsConfig::paper_default(),
+        hyperperiods,
+        options: ExecutorOptions::default(),
+    };
+    let mut faults = PoissonProcess::new(lambda, StdRng::seed_from_u64(seed));
+    run_executive_stream(
+        &params,
+        &mut faults,
+        |_| Box::new(Adaptive::dvs_scp(lambda, 2)),
+        &mut NoopObserver,
+    )
+}
 
 /// Strategy: 1–3 periodic tasks with light-to-moderate utilization.
 fn taskset_strategy() -> impl Strategy<Value = TaskSet> {
@@ -31,15 +53,7 @@ proptest! {
         lambda in 0.0f64..1e-3,
         seed in 0u64..500,
     ) {
-        let config = ExecutiveConfig {
-            set: &set,
-            costs: CheckpointCosts::paper_scp_variant(),
-            dvs: DvsConfig::paper_default(),
-            lambda,
-            hyperperiods: 2,
-            seed,
-        };
-        let report = run_executive(&config, |_, l| Box::new(Adaptive::dvs_scp(l, 2)));
+        let report = run_poisson(&set, lambda, 2, seed);
 
         // One record per release over the horizon.
         let horizon = set.hyperperiod() * 2;
@@ -98,17 +112,7 @@ proptest! {
             PeriodicTask::new("a", 400.0, 4_000, 4_000),
             PeriodicTask::new("b", 900.0, 8_000, 8_000),
         ]);
-        let run = |hp: u32| {
-            let config = ExecutiveConfig {
-                set: &set,
-                costs: CheckpointCosts::paper_scp_variant(),
-                dvs: DvsConfig::paper_default(),
-                lambda: 0.0,
-                hyperperiods: hp,
-                seed,
-            };
-            run_executive(&config, |_, l| Box::new(Adaptive::dvs_scp(l, 2)))
-        };
+        let run = |hp: u32| run_poisson(&set, 0.0, hp, seed);
         let one = run(1);
         let three = run(3);
         prop_assert_eq!(one.deadline_misses, 0);
